@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import multiprocessing
 import sys
@@ -62,6 +63,15 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _load_forest(path: str) -> Forest:
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
@@ -74,15 +84,15 @@ def _analysis_document(forest: Forest, k_values: Sequence[int], cap: int) -> dic
     res = alpha3_count_dp(forest)
     cls = classify_vertices(forest)
     checks = verify_structure_theorems(forest, enumeration_cap=cap)
-    crit = critical_edges_alpha3(forest)
     try:
         struct = critical_structure(forest)
+        crit = struct.critical_edges
         insulated = [[forest.label(u), forest.label(v)] for u, v in struct.insulated_edges]
         triples = [[forest.label(a), forest.label(b), forest.label(c)]
                    for a, b, c in struct.critical_triples]
-        eta = struct.eta
     except TheoremViolation:
-        insulated, triples, eta = None, None, len(crit)
+        crit = critical_edges_alpha3(forest)
+        insulated = triples = None
     kke = {}
     for k in k_values:
         cert = greedy_cover_matching(forest, k)
@@ -96,7 +106,7 @@ def _analysis_document(forest: Forest, k_values: Sequence[int], cap: int) -> dic
         "n": forest.n,
         "alpha3": res.alpha3,
         "mds_count": str(res.count),
-        "eta": eta,
+        "eta": len(crit),
         "critical_edges": [[forest.label(u), forest.label(v)] for u, v in crit],
         "insulated_edges": insulated,
         "critical_triples": triples,
@@ -254,6 +264,7 @@ def _cmd_gen_trees(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # building takes about 1 ms; in-process callers of main() share one parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="dissoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,26 +272,26 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full invariant report for one forest")
     p.add_argument("file")
     p.add_argument("--k", default="3", help="comma-separated k values (default 3)")
-    p.add_argument("--enumerate-cap", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--enumerate-cap", type=_at_least(0), default=ENUMERATION_CAP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="stream all maximum dissociation sets")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="exhaustive checks over all trees up to an order")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_at_least(1), required=True)
     p.add_argument("--k-list", default="2,3,4,5")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--csv", default=None)
-    p.add_argument("--enumerate-cap", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--enumerate-cap", type=_at_least(0), default=ENUMERATION_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("extremal", help="record formula, family, and optional sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_extremal)
 

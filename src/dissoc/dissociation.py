@@ -170,6 +170,65 @@ def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int
     return None if size < 0 else size
 
 
+_EMPTY = ((0, 1), (0, 1), (-1, 0))  # fold over no neighbours: (ex, a0, a1) of _dp_forest
+
+
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return (a[0] + b[0], a[1] * b[1]) if a[1] and b[1] else (-1, 0)
+
+
+def _plus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The larger of two (size, count) records; on a tie, the counts add."""
+    if a[0] != b[0]:
+        return a if a[0] > b[0] else b
+    return a[0], a[1] + b[1]
+
+
+def _join(x, y):
+    """Fold over two disjoint groups of neighbours: at most one partner in all."""
+    return _times(x[0], y[0]), _times(x[1], y[1]), _plus(_times(x[2], y[1]), _times(x[1], y[2]))
+
+
+def _close(fold):
+    """Records (best, excluded, unmatched) of a vertex, also its fold as a neighbour."""
+    exc, unm = fold[0], _times(fold[1], (1, 1))
+    return _plus(_plus(exc, unm), _times(fold[2], (1, 1))), exc, unm
+
+
+def _rerooted(forest: Forest) -> tuple[list[int], list, list, list]:
+    """Rerooting tables of the counting DP over every component, in O(n).
+
+    Returns (parent, down, up, whole); each entry holds (size, count) records
+    (best, excluded, unmatched): of v over its subtree, of parent(v) over the
+    rest of the component (the empty fold at a root; built from prefix and
+    suffix folds over its other neighbours), and of v over its component.
+    """
+    order = [v for comp in forest.components() for v in comp]
+    parent = [PARENT_NONE] * forest.n
+    for v in order:
+        for w in forest.adjacency[v]:
+            if w != parent[v]:
+                parent[w] = v
+    down = [_EMPTY] * forest.n  # the fold over the children of v until v is closed
+    for v in reversed(order):
+        down[v] = _close(down[v])
+        if parent[v] != PARENT_NONE:
+            down[parent[v]] = _join(down[parent[v]], down[v])
+    up = [_EMPTY] * forest.n
+    whole = [_EMPTY] * forest.n
+    for p in order:
+        kids = [c for c in forest.adjacency[p] if c != parent[p]]
+        prefix = [up[p]]
+        for c in kids:
+            prefix.append(_join(prefix[-1], down[c]))
+        whole[p] = _close(prefix[-1])
+        suffix = _EMPTY
+        for i in range(len(kids) - 1, -1, -1):
+            up[kids[i]] = _close(_join(prefix[i], suffix))
+            suffix = _join(suffix, down[kids[i]])
+    return parent, down, up, whole
+
+
 def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int, list[VertexSet]]:
     """Definition-level oracle: scan all vertex subsets.
 
@@ -215,20 +274,21 @@ def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]
     """
     n = forest.n
     target = _dp_forest(forest)[0]
-    emitted = 0
 
-    def rec(i: int, inc: int, exc: int) -> Iterator[VertexSet]:
-        nonlocal emitted
-        if i == n:
+    def walk() -> Iterator[VertexSet]:
+        emitted = 0
+        # (vertices decided, include, exclude); include is pushed last, so tried first
+        stack = [(0, 0, 0)]
+        while stack:
+            i, inc, exc = stack.pop()
+            if i and _dp_forest(forest, inc, exc)[0] != target:
+                continue
+            if i < n:
+                stack += ((i + 1, inc, exc | 1 << i), (i + 1, inc | 1 << i, exc))
+                continue
             if cap is not None and emitted >= cap:
                 raise EnumerationCapExceeded(cap)
             emitted += 1
             yield VertexSet(inc, n)
-            return
-        bit = 1 << i
-        for nxt_inc, nxt_exc in ((inc | bit, exc), (inc, exc | bit)):
-            size, _ = _dp_forest(forest, nxt_inc, nxt_exc)
-            if size == target:
-                yield from rec(i + 1, nxt_inc, nxt_exc)
 
-    return rec(0, 0, 0)
+    return walk()

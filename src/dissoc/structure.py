@@ -7,7 +7,9 @@ Critical edges group into connected components that are single edges
 (insulated) or two adjacent edges (a critical 3-path) and never anything
 larger. Vertices split into three classes by their membership across
 all maximum dissociation sets: flexible (some but not all), static
-included (all), static excluded (none).
+included (all), static excluded (none). Classes and critical edges come
+from one O(n) rerooting pass of the counting DP, which gives the records
+of every vertex over its component and of both sides of every edge.
 
 ``verify_structure_theorems`` re-checks all of these facts plus the
 branching bound on the number of maximum dissociation sets for one tree
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dissociation import alpha3_count_dp, alpha3_forced, enumerate_mds, is_dissociation_set
+from .dissociation import _rerooted, alpha3_count_dp, enumerate_mds, is_dissociation_set
 from .errors import TheoremViolation
-from .forest import Forest, VertexSet, root_at
+from .forest import PARENT_NONE, Forest, VertexSet, root_at
 from .kpath import greedy_cover_matching
 
 ENUMERATION_CAP = 1_000_000
@@ -64,11 +66,12 @@ def _skipped(reason: str) -> CheckResult:
 def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
     """Edges whose deletion raises alpha3; checks the rise is exactly one
     and that every optimum of the split forest keeps both endpoints."""
-    base = alpha3_count_dp(forest).alpha3
+    parent, down, up, whole = _rerooted(forest)
+    base = sum(whole[r][0][0] for r in range(forest.n) if parent[r] == PARENT_NONE)
     out = []
     for e in forest.edges:
-        reduced = forest.without_edge(*e)
-        val = alpha3_count_dp(reduced).alpha3
+        c = e[1] if parent[e[1]] == e[0] else e[0]
+        val = base - whole[c][0][0] + down[c][0][0] + up[c][0][0]
         if val == base:
             continue
         if val != base + 1:
@@ -76,10 +79,8 @@ def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
                 f"deleting edge {e} moved alpha3 from {base} to {val}"
             )
         for v in e:
-            forced = alpha3_forced(
-                reduced, VertexSet.empty(forest.n), VertexSet.from_iterable(forest.n, [v])
-            )
-            if forced == val:
+            best, avoid, _ = down[c] if v == c else up[c]
+            if avoid[0] == best[0]:
                 raise TheoremViolation(
                     f"critical edge {e}: some optimum of the split forest avoids {v}"
                 )
@@ -112,7 +113,10 @@ def critical_structure(forest: Forest) -> CriticalStructure:
     structure theory and raises TheoremViolation instead of being
     classified.
     """
-    crit = critical_edges_alpha3(forest)
+    return _group_critical_edges(critical_edges_alpha3(forest))
+
+
+def _group_critical_edges(crit: tuple[Edge, ...]) -> CriticalStructure:
     groups: dict[int, list[Edge]] = {}
     rep: dict[int, int] = {}
 
@@ -156,15 +160,12 @@ def critical_structure(forest: Forest) -> CriticalStructure:
 def classify_vertices(forest: Forest) -> VertexClassification:
     """Partition vertices by membership across all maximum dissociation sets."""
     n = forest.n
-    alpha = alpha3_count_dp(forest).alpha3
-    none = VertexSet.empty(n)
     included = 0
     excluded = 0
-    for v in range(n):
-        single = VertexSet.from_iterable(n, [v])
-        if alpha3_forced(forest, none, single) < alpha:
+    for v, (best, avoid, _) in enumerate(_rerooted(forest)[3]):
+        if avoid[0] < best[0]:
             included |= 1 << v
-        elif alpha3_forced(forest, single, none) < alpha:
+        elif avoid == best:  # the optima avoiding v are all of them
             excluded |= 1 << v
     flexible = ((1 << n) - 1) & ~(included | excluded)
     return VertexClassification(
@@ -235,7 +236,7 @@ def verify_structure_theorems(
     # critical components must be single edges or 3-paths
     struct: CriticalStructure | None
     try:
-        struct = critical_structure(forest)
+        struct = _group_critical_edges(crit)
         checks["critical_components_are_edge_or_3path"] = _passed()
     except TheoremViolation as exc:
         struct = None
@@ -246,11 +247,11 @@ def verify_structure_theorems(
         "triple_avoids_static_included",
         "count_within_branching_bound",
     )
+    iso, edge_ends = _static_profile(forest, cls.static_included)
     if struct is None:
         for name in structural:
             checks[name] = _skipped("critical structure unavailable")
     else:
-        iso, edge_ends = _static_profile(forest, cls.static_included)
         bad = None
         for e in struct.insulated_edges:
             for v in e:
@@ -294,7 +295,6 @@ def verify_structure_theorems(
         )
 
     # neighborhood rule for statically excluded vertices
-    iso, edge_ends = _static_profile(forest, cls.static_included)
     bad = None
     for v in cls.static_excluded:
         p = sum(1 for w in forest.adjacency[v] if w in iso)

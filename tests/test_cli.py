@@ -144,3 +144,32 @@ def test_guard_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(big), "--k", "4")
     assert code == 2
     assert "limited" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "0"],
+        ["verify", "--n-max", "-5"],
+        ["enumerate", "P5", "--limit", "-1"],
+        ["analyze", "P5", "--enumerate-cap", "-1"],
+        ["verify", "--n-max", "4", "--enumerate-cap", "-1"],
+        ["verify", "--n-max", "4", "--jobs", "0"],
+        ["extremal", "--n", "6", "--sweep", "--jobs", "0"],
+    ],
+)
+def test_out_of_range_arguments_rejected(capsys, monkeypatch, p5_file, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    code, out, err = run(capsys, *[p5_file if a == "P5" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert "must be an integer >=" in err
+
+
+def test_zero_enumerate_cap_is_valid(capsys, p5_file):
+    code, out, _ = run(capsys, "analyze", p5_file, "--enumerate-cap", "0")
+    assert code == 0
+    assert json.loads(out)["theorem_checks"]["mds_meets_exact_pattern"] == "skipped"

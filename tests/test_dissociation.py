@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from dissoc.dissociation import (
 from dissoc.errors import EnumerationCapExceeded, GuardExceeded
 from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, VertexSet
-from dissoc.treegen import free_trees, pruefer_decode
+from dissoc.treegen import free_trees, pruefer_decode, random_labeled_tree
 
 from util import path, star
 
@@ -115,6 +118,18 @@ def test_enumerate_p5_unique():
 def test_enumerate_lexicographic_order():
     got = members(enumerate_mds(path(3)))
     assert got == sorted(got)
+
+
+def test_enumerate_does_not_recurse():
+    tree = random_labeled_tree(400, random.Random(11))
+    alpha = alpha3_count_dp(tree).alpha3
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        first = next(enumerate_mds(tree))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(first) == alpha and is_dissociation_set(tree, first)
 
 
 def test_enumerate_cap_truncates():

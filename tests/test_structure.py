@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from dissoc.dissociation import alpha3_count_dp, brute_force_mds, enumerate_mds
 from dissoc.extremal import lt8, star_construction
-from dissoc.forest import Forest, canonical_code
+from dissoc.forest import Forest, canonical_code, parse_edge_list
 from dissoc.kpath import _tree_k_path_sets
 from dissoc.structure import (
     build_canonical_mds,
@@ -14,9 +15,9 @@ from dissoc.structure import (
     critical_structure,
     verify_structure_theorems,
 )
-from dissoc.treegen import free_trees
+from dissoc.treegen import free_trees, random_labeled_tree
 
-from util import path, star
+from util import classify_vertices_oracle, critical_edges_alpha3_oracle, path, star
 
 
 def test_critical_edges_small_trees():
@@ -194,3 +195,32 @@ def test_structure_ops_work_on_forests():
     assert len(s.critical_triples) == 2
     rep = verify_structure_theorems(forest)
     assert all(cr.status == "pass" for cr in rep.values())
+
+
+def _assert_matches_oracles(forest):
+    assert classify_vertices(forest) == classify_vertices_oracle(forest), forest.edges
+    assert critical_edges_alpha3(forest) == critical_edges_alpha3_oracle(forest), forest.edges
+
+
+def test_rerooted_structure_matches_oracles_on_free_trees():
+    for n in range(1, 11):
+        for t in free_trees(n):
+            _assert_matches_oracles(t)
+
+
+def test_rerooted_structure_matches_oracles_on_random_trees():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        _assert_matches_oracles(random_labeled_tree(rng.randint(1, 60), rng))
+
+
+def test_rerooted_structure_matches_oracles_on_forests_with_isolated_vertices():
+    rng = random.Random(7)
+    for _ in range(60):
+        tree = random_labeled_tree(rng.randint(2, 30), rng)
+        lines = [f"x{u} x{v}" for u, v in tree.edges if rng.random() < 0.8]
+        lines += [f"vertex iso{i}" for i in range(rng.randint(1, 3))]
+        rng.shuffle(lines)
+        forest = parse_edge_list("\n".join(lines))
+        assert any(not forest.adjacency[v] for v in range(forest.n))
+        _assert_matches_oracles(forest)

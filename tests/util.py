@@ -1,8 +1,12 @@
-"""Shared test helpers: tiny builders and a brute-force isomorphism oracle."""
+"""Shared test helpers: tiny builders, a brute-force isomorphism oracle and
+per-query oracles for the vertex classes and the critical edges."""
 
 from __future__ import annotations
 
-from dissoc.forest import Forest
+from dissoc.dissociation import alpha3_count_dp, alpha3_forced
+from dissoc.errors import TheoremViolation
+from dissoc.forest import Forest, VertexSet
+from dissoc.structure import VertexClassification
 
 
 def path(n: int) -> Forest:
@@ -46,3 +50,49 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
         return False
 
     return extend(0)
+
+
+def classify_vertices_oracle(forest: Forest) -> VertexClassification:
+    """Vertex classes from two forced DPs per vertex."""
+    n = forest.n
+    alpha = alpha3_count_dp(forest).alpha3
+    none = VertexSet.empty(n)
+    included = 0
+    excluded = 0
+    for v in range(n):
+        single = VertexSet.from_iterable(n, [v])
+        if alpha3_forced(forest, none, single) < alpha:
+            included |= 1 << v
+        elif alpha3_forced(forest, single, none) < alpha:
+            excluded |= 1 << v
+    flexible = ((1 << n) - 1) & ~(included | excluded)
+    return VertexClassification(
+        flexible=VertexSet(flexible, n),
+        static_included=VertexSet(included, n),
+        static_excluded=VertexSet(excluded, n),
+    )
+
+
+def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
+    """Critical edges from one rebuilt forest, one DP and two forced DPs per edge."""
+    base = alpha3_count_dp(forest).alpha3
+    out = []
+    for e in forest.edges:
+        reduced = forest.without_edge(*e)
+        val = alpha3_count_dp(reduced).alpha3
+        if val == base:
+            continue
+        if val != base + 1:
+            raise TheoremViolation(
+                f"deleting edge {e} moved alpha3 from {base} to {val}"
+            )
+        for v in e:
+            forced = alpha3_forced(
+                reduced, VertexSet.empty(forest.n), VertexSet.from_iterable(forest.n, [v])
+            )
+            if forced == val:
+                raise TheoremViolation(
+                    f"critical edge {e}: some optimum of the split forest avoids {v}"
+                )
+        out.append(e)
+    return tuple(out)
