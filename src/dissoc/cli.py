@@ -11,15 +11,19 @@ import argparse
 import csv
 import functools
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dissociation import alpha3_count_dp, enumerate_mds
 from .errors import EnumerationCapExceeded, GuardExceeded, ParseError, TheoremViolation
-from .extremal import exhaustive_extremal_check, generate_extremal_family, max_mds_formula
+from .extremal import (
+    SWEEP_LIMIT,
+    exhaustive_extremal_check,
+    generate_extremal_family,
+    max_mds_formula,
+)
 from .forest import (
     Forest,
     canonical_code,
@@ -36,7 +40,7 @@ from .structure import (
     critical_structure,
     verify_structure_theorems,
 )
-from .treegen import free_trees
+from .treegen import free_trees, map_free_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,14 +141,16 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _check_tree(payload) -> tuple[int, tuple[str, ...]]:
-    """Per-tree verification work unit; returns (mds count, failure notes)."""
-    n, edges, k_list, cap = payload
-    tree = Forest.from_edges(n, edges)
+def _check_tree(
+    tree: Forest, k_list: tuple[int, ...], cap: int
+) -> tuple[int, tuple[str, ...], int]:
+    """Per-tree verification work unit; returns (mds count, failure notes, skipped checks)."""
     failures: list[str] = []
+    skipped = 0
     for name, cr in verify_structure_theorems(tree, enumeration_cap=cap).items():
         if cr.status == "fail":
             failures.append(f"{name}: {cr.witness}")
+        skipped += cr.status == "skipped"
     try:
         if set(critical_edges_alpha3(tree)) != set(critical_edges_mu3(tree)):
             failures.append("critical_edge_sets_coincide: alpha3 and mu3 sets differ")
@@ -156,25 +162,19 @@ def _check_tree(payload) -> tuple[int, tuple[str, ...]]:
         for problem in verify_certificate(tree, cert):
             failures.append(f"certificate k={k}: {problem}")
         alpha = res.alpha3 if k == 3 else alpha_k_brute(tree, k)
-        if alpha + len(cert.matching.paths) != n:
+        if alpha + len(cert.matching.paths) != tree.n:
             failures.append(
-                f"kke k={k}: alpha_k={alpha} mu_k={len(cert.matching.paths)} n={n}"
+                f"kke k={k}: alpha_k={alpha} mu_k={len(cert.matching.paths)} n={tree.n}"
             )
-    return res.count, tuple(failures)
-
-
-def _scan_trees(n: int, k_list, cap: int, jobs: int) -> Iterator[tuple[int, tuple[str, ...]]]:
-    payloads = ((t.n, t.edges, tuple(k_list), cap) for t in free_trees(n))
-    if jobs <= 1:
-        for p in payloads:
-            yield _check_tree(p)
-        return
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_check_tree, payloads, chunksize=16)
+    return res.count, tuple(failures), skipped
 
 
 def _cmd_verify(args) -> int:
-    k_list = _parse_k_list(args.k_list)
+    if args.n_max > SWEEP_LIMIT:
+        raise GuardExceeded(f"verify limited to --n-max <= {SWEEP_LIMIT}, got {args.n_max}")
+    check = functools.partial(
+        _check_tree, k_list=tuple(_parse_k_list(args.k_list)), cap=args.enumerate_cap
+    )
     rows = []
     total_trees = 0
     total_failures = 0
@@ -182,11 +182,13 @@ def _cmd_verify(args) -> int:
         started = time.perf_counter()
         trees = 0
         failures = []
+        skipped = 0
         best = -1
-        for count, notes in _scan_trees(n, k_list, args.enumerate_cap, args.jobs):
+        for count, notes, tree_skipped in map_free_trees(n, check, args.jobs, chunksize=16):
             trees += 1
             best = max(best, count)
             failures.extend(notes)
+            skipped += tree_skipped
         formula = max_mds_formula(n)
         match = best == formula
         print(
@@ -195,7 +197,10 @@ def _cmd_verify(args) -> int:
         )
         for note in failures:
             print(f"  counterexample at n={n}: {note}")
-        print(f"n={n} done in {time.perf_counter() - started:.2f}s", file=sys.stderr)
+        print(
+            f"n={n} done in {time.perf_counter() - started:.2f}s skipped={skipped}",
+            file=sys.stderr,
+        )
         rows.append(
             {"n": n, "trees": trees, "max_count": best, "formula": formula,
              "match": match, "failures": len(failures)}

@@ -47,9 +47,6 @@ def _dp_forest(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> 
     avoiding ``exclude_bits``.
     """
     n = forest.n
-    if n == 0:
-        return 0, 1
-    adjacency = forest.adjacency
     # per-vertex accumulators over the children folded so far:
     #   ex: parent excluded, children free to take their best states
     #   a0: parent included, every folded child excluded
@@ -60,95 +57,83 @@ def _dp_forest(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> 
     a0_w = [1] * n
     a1_s = [-1] * n
     a1_w = [0] * n
-    parent = [PARENT_NONE] * n
-    seen = [False] * n
+    order, parent = forest.bfs
     total_s = 0
     total_w = 1
-    for start in range(n):
-        if seen[start]:
+    for v in reversed(order):
+        # close out v's three states from its accumulators
+        exc_s, exc_w = ex_s[v], ex_w[v]
+        if a0_s[v] >= 0:
+            unm_s, unm_w = a0_s[v] + 1, a0_w[v]
+        else:
+            unm_s, unm_w = -1, 0
+        if a1_s[v] >= 0:
+            mat_s, mat_w = a1_s[v] + 1, a1_w[v]
+        else:
+            mat_s, mat_w = -1, 0
+        bit = 1 << v
+        if include_bits & bit:
+            exc_s, exc_w = -1, 0
+        if exclude_bits & bit:
+            unm_s, unm_w = -1, 0
+            mat_s, mat_w = -1, 0
+        p = parent[v]
+        if p == PARENT_NONE:
+            best = exc_s
+            if unm_s > best:
+                best = unm_s
+            if mat_s > best:
+                best = mat_s
+            if best < 0:
+                return -1, 0
+            ways = 0
+            if exc_s == best:
+                ways += exc_w
+            if unm_s == best:
+                ways += unm_w
+            if mat_s == best:
+                ways += mat_w
+            total_s += best
+            total_w *= ways
             continue
-        seen[start] = True
-        order = [start]
-        for v in order:
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    order.append(w)
-        for v in reversed(order):
-            # close out v's three states from its accumulators
-            exc_s, exc_w = ex_s[v], ex_w[v]
-            if a0_s[v] >= 0:
-                unm_s, unm_w = a0_s[v] + 1, a0_w[v]
-            else:
-                unm_s, unm_w = -1, 0
-            if a1_s[v] >= 0:
-                mat_s, mat_w = a1_s[v] + 1, a1_w[v]
-            else:
-                mat_s, mat_w = -1, 0
-            bit = 1 << v
-            if include_bits & bit:
-                exc_s, exc_w = -1, 0
-            if exclude_bits & bit:
-                unm_s, unm_w = -1, 0
-                mat_s, mat_w = -1, 0
-            p = parent[v]
-            if p == PARENT_NONE:
-                best = exc_s
-                if unm_s > best:
-                    best = unm_s
-                if mat_s > best:
-                    best = mat_s
-                if best < 0:
-                    return -1, 0
-                ways = 0
-                if exc_s == best:
-                    ways += exc_w
-                if unm_s == best:
-                    ways += unm_w
-                if mat_s == best:
-                    ways += mat_w
-                total_s += best
-                total_w *= ways
-                continue
-            # fold v into p: p excluded lets v take its best state
-            b = exc_s
-            if unm_s > b:
-                b = unm_s
-            if mat_s > b:
-                b = mat_s
-            if b < 0:
-                ex_s[p], ex_w[p] = -1, 0
-            elif ex_s[p] >= 0:
-                bw = 0
-                if exc_s == b:
-                    bw += exc_w
-                if unm_s == b:
-                    bw += unm_w
-                if mat_s == b:
-                    bw += mat_w
-                ex_s[p] += b
-                ex_w[p] *= bw
-            # p included: v is either excluded or the unique partner child,
-            # in which case v must still be partner-free inside its subtree
-            old0_s, old0_w = a0_s[p], a0_w[p]
-            c1_s = a1_s[p] + exc_s if a1_s[p] >= 0 and exc_s >= 0 else -1
-            c1_w = a1_w[p] * exc_w if c1_s >= 0 else 0
-            c2_s = old0_s + unm_s if old0_s >= 0 and unm_s >= 0 else -1
-            c2_w = old0_w * unm_w if c2_s >= 0 else 0
-            if c1_s > c2_s:
-                a1_s[p], a1_w[p] = c1_s, c1_w
-            elif c2_s > c1_s:
-                a1_s[p], a1_w[p] = c2_s, c2_w
-            elif c1_s < 0:
-                a1_s[p], a1_w[p] = -1, 0
-            else:
-                a1_s[p], a1_w[p] = c1_s, c1_w + c2_w
-            if old0_s >= 0 and exc_s >= 0:
-                a0_s[p] = old0_s + exc_s
-                a0_w[p] = old0_w * exc_w
-            else:
-                a0_s[p], a0_w[p] = -1, 0
+        # fold v into p: p excluded lets v take its best state
+        b = exc_s
+        if unm_s > b:
+            b = unm_s
+        if mat_s > b:
+            b = mat_s
+        if b < 0:
+            ex_s[p], ex_w[p] = -1, 0
+        elif ex_s[p] >= 0:
+            bw = 0
+            if exc_s == b:
+                bw += exc_w
+            if unm_s == b:
+                bw += unm_w
+            if mat_s == b:
+                bw += mat_w
+            ex_s[p] += b
+            ex_w[p] *= bw
+        # p included: v is either excluded or the unique partner child,
+        # in which case v must still be partner-free inside its subtree
+        old0_s, old0_w = a0_s[p], a0_w[p]
+        c1_s = a1_s[p] + exc_s if a1_s[p] >= 0 and exc_s >= 0 else -1
+        c1_w = a1_w[p] * exc_w if c1_s >= 0 else 0
+        c2_s = old0_s + unm_s if old0_s >= 0 and unm_s >= 0 else -1
+        c2_w = old0_w * unm_w if c2_s >= 0 else 0
+        if c1_s > c2_s:
+            a1_s[p], a1_w[p] = c1_s, c1_w
+        elif c2_s > c1_s:
+            a1_s[p], a1_w[p] = c2_s, c2_w
+        elif c1_s < 0:
+            a1_s[p], a1_w[p] = -1, 0
+        else:
+            a1_s[p], a1_w[p] = c1_s, c1_w + c2_w
+        if old0_s >= 0 and exc_s >= 0:
+            a0_s[p] = old0_s + exc_s
+            a0_w[p] = old0_w * exc_w
+        else:
+            a0_s[p], a0_w[p] = -1, 0
     return total_s, total_w
 
 
@@ -195,7 +180,7 @@ def _close(fold):
     return _plus(_plus(exc, unm), _times(fold[2], (1, 1))), exc, unm
 
 
-def _rerooted(forest: Forest) -> tuple[list[int], list, list, list]:
+def _rerooted(forest: Forest) -> tuple[tuple[int, ...], list, list, list]:
     """Rerooting tables of the counting DP over every component, in O(n).
 
     Returns (parent, down, up, whole); each entry holds (size, count) records
@@ -203,12 +188,7 @@ def _rerooted(forest: Forest) -> tuple[list[int], list, list, list]:
     rest of the component (the empty fold at a root; built from prefix and
     suffix folds over its other neighbours), and of v over its component.
     """
-    order = [v for comp in forest.components() for v in comp]
-    parent = [PARENT_NONE] * forest.n
-    for v in order:
-        for w in forest.adjacency[v]:
-            if w != parent[v]:
-                parent[w] = v
+    order, parent = forest.bfs
     down = [_EMPTY] * forest.n  # the fold over the children of v until v is closed
     for v in reversed(order):
         down[v] = _close(down[v])

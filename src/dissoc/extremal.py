@@ -9,15 +9,14 @@ observed record and record holders against the prediction.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .dissociation import alpha3_count_dp
 from .errors import GuardExceeded
 from .forest import CanonicalCode, Forest, canonical_code
-from .treegen import free_trees
+from .treegen import map_free_trees
 
 SWEEP_LIMIT = 18
 
@@ -126,20 +125,8 @@ class ExtremalReport:
     note: str = ""
 
 
-def _count_and_code(payload: tuple[int, tuple[tuple[int, int], ...]]) -> tuple[int, bytes]:
-    n, edges = payload
-    tree = Forest.from_edges(n, edges)
+def _count_and_code(tree: Forest) -> tuple[int, bytes]:
     return alpha3_count_dp(tree).count, canonical_code(tree).code
-
-
-def _scan(n: int, jobs: int) -> Iterator[tuple[int, bytes]]:
-    payloads = ((t.n, t.edges) for t in free_trees(n))
-    if jobs <= 1:
-        for p in payloads:
-            yield _count_and_code(p)
-        return
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_count_and_code, payloads, chunksize=64)
 
 
 def _family_note(n: int) -> str:
@@ -162,7 +149,7 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
     best = -1
     argmax: list[bytes] = []
     scanned = 0
-    for count, code in _scan(n, jobs):
+    for count, code in map_free_trees(n, _count_and_code, jobs, chunksize=64):
         scanned += 1
         if count > best:
             best = count

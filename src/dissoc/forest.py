@@ -2,9 +2,12 @@
 
 A ``Forest`` keeps an edge list, per-vertex sorted adjacency, and the
 original string labels when it was parsed from text. All structures are
-immutable after construction and safe to share between threads. Rooted
-views, centroid location, and an AHU-style canonical code (rooted at the
-centroid) give isomorphism-level identity for trees.
+immutable after construction and safe to share between threads; the one
+BFS that roots every component at its smallest vertex is computed on
+first use and cached. Rooted views, centroid location, and an AHU-style
+canonical code (rooted at the centroid) give isomorphism-level identity
+for trees. ``Forest.from_edges`` is the one place where edges are
+validated.
 
 Edge-list text format: one edge per line as two whitespace-separated
 labels, ``#`` starts a comment, and ``vertex <label>`` declares an
@@ -14,13 +17,21 @@ appearance.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ParseError
 
 PARENT_NONE = -1
+
+
+class _EdgeError(ValueError):
+    """An invalid edge; ``position`` is its index in the edge sequence."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,7 @@ class Forest:
             raise ValueError("vertex count must be non-negative")
         if labels is not None and len(labels) != n:
             raise ValueError("labels must cover all vertices")
+        name = labels.__getitem__ if labels is not None else str
         uf = list(range(n))
 
         def find(x: int) -> int:
@@ -101,28 +113,26 @@ class Forest:
                 x = uf[x]
             return x
 
-        norm: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise _EdgeError(f"edge ({u}, {v}) out of range for n={n}", i)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise _EdgeError(f"self-loop at vertex {name(u)}", i)
             e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise ValueError(f"duplicate edge {e}")
+                raise _EdgeError(f"duplicate edge {name(u)} {name(v)}", i)
             ru, rv = find(u), find(v)
             if ru == rv:
-                raise ValueError(f"edge {e} closes a cycle")
+                raise _EdgeError(f"edge {name(u)} {name(v)} closes a cycle", i)
             uf[ru] = rv
             seen.add(e)
-            norm.append(e)
             neighbors[u].append(v)
             neighbors[v].append(u)
         return cls(
             n=n,
-            edges=tuple(sorted(norm)),
+            edges=tuple(sorted(seen)),
             adjacency=tuple(tuple(sorted(ns)) for ns in neighbors),
             labels=labels,
         )
@@ -133,28 +143,42 @@ class Forest:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components in BFS order, keyed by smallest vertex."""
+    @cached_property
+    def bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, parent) of a BFS over every component, each rooted at its
+        smallest vertex; components follow one another in that order."""
+        parent = [PARENT_NONE] * self.n
         seen = [False] * self.n
-        out = []
+        order: list[int] = []
         for start in range(self.n):
             if seen[start]:
                 continue
             seen[start] = True
-            order = [start]
-            for v in order:
+            comp = [start]
+            for v in comp:
                 for w in self.adjacency[v]:
                     if not seen[w]:
                         seen[w] = True
-                        order.append(w)
-            out.append(tuple(order))
-        return tuple(out)
+                        parent[w] = v
+                        comp.append(w)
+            order += comp
+        return tuple(order), tuple(parent)
 
-    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components in BFS order, keyed by smallest vertex."""
+        order, parent = self.bfs
+        out: list[list[int]] = []
+        for v in order:
+            if parent[v] == PARENT_NONE:
+                out.append([])
+            out[-1].append(v)
+        return tuple(map(tuple, out))
+
+    @cached_property
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.bfs[1].count(PARENT_NONE) <= 1
 
-    @property
+    @cached_property
     def is_tree(self) -> bool:
         return self.n >= 1 and len(self.edges) == self.n - 1 and self.is_connected
 
@@ -217,12 +241,14 @@ def root_at(forest: Forest, root: int) -> RootedView:
 
 def centroids(forest: Forest) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component left by their removal."""
-    view = root_at(forest, 0)
+    if not forest.is_tree:
+        raise ValueError("centroids are defined on connected trees")
+    order, parent = forest.bfs
     n = forest.n
     size = [1] * n
     heaviest = [0] * n
-    for v in view.post_order:
-        p = view.parent[v]
+    for v in reversed(order):
+        p = parent[v]
         if p != PARENT_NONE:
             size[p] += size[v]
             heaviest[p] = max(heaviest[p], size[v])
@@ -269,7 +295,8 @@ def parse_edge_list(text: str) -> Forest:
     """Parse the edge-list text format into a Forest.
 
     Raises ParseError naming the offending line on malformed lines,
-    self-loops, duplicate edges, and cycles.
+    self-loops, duplicate edges, and cycles; the last three are found by
+    ``Forest.from_edges``.
     """
     index: dict[str, int] = {}
     order: list[str] = []
@@ -294,32 +321,12 @@ def parse_edge_list(text: str) -> Forest:
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two labels: {raw!r}")
-        u, v = vid(tokens[0]), vid(tokens[1])
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop: {raw!r}")
-        edges.append((u, v))
+        edges.append((vid(tokens[0]), vid(tokens[1])))
         edge_lines.append(lineno)
-
-    n = len(order)
-    uf = list(range(n))
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    seen: set[tuple[int, int]] = set()
-    for (u, v), lineno in zip(edges, edge_lines):
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {order[u]} {order[v]}")
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ParseError(f"line {lineno}: cycle through edge {order[u]} {order[v]}")
-        uf[ru] = rv
-        seen.add(e)
-    return Forest.from_edges(n, edges, labels=tuple(order))
+    try:
+        return Forest.from_edges(len(order), edges, labels=tuple(order))
+    except _EdgeError as exc:
+        raise ParseError(f"line {edge_lines[exc.position]}: {exc}") from exc
 
 
 def serialize_edge_list(forest: Forest) -> str:
@@ -338,20 +345,7 @@ def serialize_edge_list(forest: Forest) -> str:
 
 def normalize_indices(forest: Forest) -> Forest:
     """Relabel by per-component BFS so serialization round-trips through parsing."""
-    seen = [False] * forest.n
-    order: list[int] = []
-    for start in range(forest.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in forest.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    order = forest.bfs[0]
     new_of_old = {old: new for new, old in enumerate(order)}
     edges = [(new_of_old[u], new_of_old[v]) for u, v in forest.edges]
     labels = None

@@ -347,61 +347,3 @@ def verify_kke(forest: Forest, k: int, oracle: bool = False) -> KkeReport:
         mu = len(greedy_cover_matching(forest, k).matching.paths)
     return KkeReport(n=forest.n, k=k, alpha_k=alpha, mu_k=mu, holds=alpha + mu == forest.n)
 
-
-# definition-level helpers on arbitrary adjacency lists, used to probe the
-# inequality alpha_k + mu_k <= n on small graphs that are not forests
-def _has_path_of_order(adj: list[list[int]], k: int) -> bool:
-    n = len(adj)
-    if k <= 1:
-        return n >= k
-
-    def extend(v: int, seen: int, length: int) -> bool:
-        if length == k:
-            return True
-        for w in adj[v]:
-            if not seen >> w & 1 and extend(w, seen | 1 << w, length + 1):
-                return True
-        return False
-
-    return any(extend(v, 1 << v, 1) for v in range(n))
-
-
-def _alpha_k_raw(adj: list[list[int]], k: int) -> int:
-    n = len(adj)
-    for size in range(n, -1, -1):
-        for members in combinations(range(n), size):
-            remap = {v: i for i, v in enumerate(members)}
-            sub = [[remap[w] for w in adj[v] if w in remap] for v in members]
-            if not _has_path_of_order(sub, k):
-                return size
-    return 0
-
-
-def _mu_k_raw(adj: list[list[int]], k: int) -> int:
-    n = len(adj)
-    path_sets: set[int] = set()
-
-    def extend(v: int, seen: int, length: int) -> None:
-        if length == k:
-            path_sets.add(seen)
-            return
-        for w in adj[v]:
-            if not seen >> w & 1:
-                extend(w, seen | 1 << w, length + 1)
-
-    for v in range(n):
-        extend(v, 1 << v, 1)
-    paths = sorted(path_sets)
-    best = 0
-
-    def rec(i: int, used: int, size: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        if size + (n - used.bit_count()) // k <= best:
-            return
-        for j in range(i, len(paths)):
-            if used & paths[j] == 0:
-                rec(j + 1, used | paths[j], size + 1)
-
-    rec(0, 0, 0)
-    return best

@@ -113,42 +113,23 @@ def critical_structure(forest: Forest) -> CriticalStructure:
     structure theory and raises TheoremViolation instead of being
     classified.
     """
-    return _group_critical_edges(critical_edges_alpha3(forest))
+    return _group_critical_edges(forest.n, critical_edges_alpha3(forest))
 
 
-def _group_critical_edges(crit: tuple[Edge, ...]) -> CriticalStructure:
-    groups: dict[int, list[Edge]] = {}
-    rep: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while rep.get(x, x) != x:
-            rep[x] = rep.get(rep[x], rep[x])
-            x = rep[x]
-        return x
-
-    for u, v in crit:
-        rep.setdefault(u, u)
-        rep.setdefault(v, v)
-        rep[find(u)] = find(v)
-    for e in crit:
-        groups.setdefault(find(e[0]), []).append(e)
-
+def _group_critical_edges(n: int, crit: tuple[Edge, ...]) -> CriticalStructure:
+    critical = Forest.from_edges(n, crit)
     insulated = []
     triples = []
-    for edges in groups.values():
-        if len(edges) == 1:
-            insulated.append(edges[0])
-            continue
-        if len(edges) == 2:
-            (a, b), (c, d) = edges
-            shared = {a, b} & {c, d}
-            mid = shared.pop()
-            ends = sorted({a, b, c, d} - {mid})
+    for comp in critical.components():
+        if len(comp) == 2:
+            insulated.append(comp)  # BFS from the smaller end: already sorted
+        elif len(comp) == 3:
+            mid = next(v for v in comp if critical.degree(v) == 2)
+            ends = sorted(v for v in comp if v != mid)
             triples.append((ends[0], mid, ends[1]))
-            continue
-        raise TheoremViolation(
-            f"critical component with {len(edges)} edges: {sorted(edges)}"
-        )
+        elif len(comp) > 3:
+            edges = sorted(e for e in crit if e[0] in comp)
+            raise TheoremViolation(f"critical component with {len(edges)} edges: {edges}")
     return CriticalStructure(
         critical_edges=crit,
         insulated_edges=tuple(sorted(insulated)),
@@ -236,7 +217,7 @@ def verify_structure_theorems(
     # critical components must be single edges or 3-paths
     struct: CriticalStructure | None
     try:
-        struct = _group_critical_edges(crit)
+        struct = _group_critical_edges(forest.n, crit)
         checks["critical_components_are_edge_or_3path"] = _passed()
     except TheoremViolation as exc:
         struct = None

@@ -8,6 +8,9 @@ centroid-canonicality filter keeps exactly one rooted representative of
 every free tree (the first root subtree must not be taller, larger, or
 lexicographically later than the rest of the tree).
 
+``map_free_trees`` is the one driver for sweeps over every free tree of
+an order, in order, in this process or in a pool of worker processes.
+
 Labeled trees come from Pruefer sequences and serve as an independent
 oracle: decoding every sequence of length n-2 and deduplicating by
 canonical code must produce the same isomorphism classes.
@@ -15,16 +18,20 @@ canonical code must produce the same isomorphism classes.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .errors import GuardExceeded
 from .forest import Forest
 
 PRUEFER_LIMIT = 9
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,23 @@ def free_trees(n: int) -> Iterator[Forest]:
         yield forest_from_level_sequence(ls)
 
 
+def map_free_trees(
+    n: int, fn: Callable[[Forest], R], jobs: int = 1, chunksize: int = 1
+) -> Iterator[R]:
+    """``fn`` of every free tree of order n, in generation order.
+
+    With ``jobs`` > 1 the trees go to a pool of worker processes, at most
+    one per CPU; ``fn`` must then be picklable (a module-level function or
+    a ``functools.partial`` of one). The results keep the order either way.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1:
+        yield from map(fn, free_trees(n))
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(fn, free_trees(n), chunksize=chunksize)
+
+
 def free_tree_count(n: int) -> int:
     return sum(1 for _ in level_sequences(n))
 
@@ -168,16 +192,11 @@ def labeled_trees_pruefer(n: int, guard: int = PRUEFER_LIMIT) -> Iterator[Forest
         raise ValueError("order must be positive")
     if n > guard:
         raise GuardExceeded(f"labeled enumeration limited to n <= {guard}, got {n}")
-    if n == 1:
-        yield Forest.from_edges(1, [])
-        return
-    for seq in product(range(n), repeat=n - 2):
+    for seq in product(range(n), repeat=max(n - 2, 0)):
         yield pruefer_decode(seq, n)
 
 
 def random_labeled_tree(n: int, rng: random.Random) -> Forest:
     """Uniform random labeled tree via a random Pruefer sequence."""
-    if n == 1:
-        return Forest.from_edges(1, [])
     seq = tuple(rng.randrange(n) for _ in range(n - 2))
     return pruefer_decode(seq, n)

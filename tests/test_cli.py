@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -146,6 +147,10 @@ def test_guard_exit_code(capsys, tmp_path):
     assert "limited" in err
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -159,9 +164,6 @@ def test_guard_exit_code(capsys, tmp_path):
     ],
 )
 def test_out_of_range_arguments_rejected(capsys, monkeypatch, p5_file, argv):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
     monkeypatch.setattr("multiprocessing.Pool", no_pool)
     code, out, err = run(capsys, *[p5_file if a == "P5" else a for a in argv])
     assert code == 1
@@ -173,3 +175,34 @@ def test_zero_enumerate_cap_is_valid(capsys, p5_file):
     code, out, _ = run(capsys, "analyze", p5_file, "--enumerate-cap", "0")
     assert code == 0
     assert json.loads(out)["theorem_checks"]["mds_meets_exact_pattern"] == "skipped"
+
+
+def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    _, expected, _ = run(capsys, "verify", "--n-max", "4", "--jobs", "1")
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--jobs", "64")
+    assert code == 0
+    assert out == expected
+
+
+def test_verify_order_guard(capsys, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a tree was checked")
+
+    monkeypatch.setattr("dissoc.cli._check_tree", no_check)
+    code, out, err = run(capsys, "verify", "--n-max", "19")
+    assert code == 2
+    assert out == ""
+    assert "limited to --n-max <= 18" in err
+
+
+def test_verify_reports_skipped_checks(capsys):
+    code, out, err = run(capsys, "verify", "--n-max", "8", "--enumerate-cap", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "total trees=48 failures=0"
+    skipped = [int(k) for k in re.findall(r"^n=\d+ done in [\d.]+s skipped=(\d+)$", err, re.M)]
+    assert len(skipped) == 8
+    assert sum(skipped) > 0
+    _, _, err = run(capsys, "verify", "--n-max", "8")
+    assert re.findall(r"skipped=(\d+)", err) == ["0"] * 8

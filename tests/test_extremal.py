@@ -9,7 +9,7 @@ from dissoc.extremal import (
     max_mds_formula,
     star_construction,
 )
-from dissoc.forest import canonical_code
+from dissoc.forest import Forest, canonical_code
 from dissoc.structure import classify_vertices, critical_structure
 
 from util import path, star
@@ -117,3 +117,19 @@ def test_sweep_agrees_across_job_counts():
     a = exhaustive_extremal_check(8, jobs=1)
     b = exhaustive_extremal_check(8, jobs=2)
     assert a == b
+
+
+def test_sweep_builds_each_tree_once(monkeypatch):
+    build = Forest.from_edges.__func__
+    calls = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build(cls, *args, **kwargs)
+
+    family = len(generate_extremal_family(9))
+    monkeypatch.setattr(Forest, "from_edges", classmethod(counting))
+    report = exhaustive_extremal_check(9)
+    assert report.trees_scanned == 47
+    assert calls <= report.trees_scanned + family

@@ -53,6 +53,20 @@ def test_parse_rejects_cycle_with_line_number():
         parse_edge_list("1 2\n2 3\n3 1")
 
 
+@pytest.mark.parametrize(
+    "text, line, names",
+    [
+        ("a b\nb c\n\nc b\n", 4, "duplicate edge c b"),
+        ("x y\n# comment\ny z\nz x\n", 4, "edge z x closes a cycle"),
+        ("vertex w\np q\nw w  # loop\n", 3, "self-loop at vertex w"),
+    ],
+)
+def test_parse_error_names_line_and_labels(text, line, names):
+    with pytest.raises(ParseError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == f"line {line}: {names}"
+
+
 def test_parse_rejects_duplicates_and_self_loops():
     with pytest.raises(ParseError, match="duplicate"):
         parse_edge_list("a b\nb a")
@@ -149,16 +163,33 @@ def test_centroid_component_sizes_are_relabeling_invariant():
         assert sorted(perm[c] for c in base) == sorted(centroids(other))
 
 
+def _with_isolated_vertices(tree: Forest, extra: int, rng: random.Random) -> Forest:
+    """The tree plus ``extra`` isolated vertices, all vertices shuffled."""
+    n = tree.n + extra
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Forest.from_edges(n, [(perm[u], perm[v]) for u, v in tree.edges])
+
+
+def _assert_round_trip(forest: Forest) -> None:
+    norm = normalize_indices(forest)
+    # every component becomes a run of consecutive indices, in BFS order
+    assert [v for comp in norm.components() for v in comp] == list(range(norm.n))
+    text = serialize_edge_list(norm)
+    back = parse_edge_list(text)
+    assert back.n == norm.n
+    assert back.edges == norm.edges
+    assert back.components() == norm.components()
+    # and the canonical text is a fixed point of parse -> serialize
+    assert serialize_edge_list(back) == text
+
+
 def test_serialize_parse_round_trip_on_canonical_form():
+    rng = random.Random(3)
     for n in range(1, 9):
         for t in free_trees(n):
-            norm = normalize_indices(t)
-            text = serialize_edge_list(norm)
-            back = parse_edge_list(text)
-            assert back.n == norm.n
-            assert back.edges == norm.edges
-            # and the canonical text is a fixed point of parse -> serialize
-            assert serialize_edge_list(back) == text
+            _assert_round_trip(t)
+            _assert_round_trip(_with_isolated_vertices(t, rng.randrange(1, 4), rng))
 
 
 def test_serialize_declares_isolated_vertices():
@@ -170,6 +201,15 @@ def test_serialize_declares_isolated_vertices():
 def test_components_and_tree_flags():
     f = Forest.from_edges(5, [(0, 1), (3, 4)])
     assert f.components() == ((0, 1), (2,), (3, 4))
-    assert not f.is_tree
+    assert f.bfs == ((0, 1, 2, 3, 4), (-1, 0, -1, -1, 3))
+    assert not f.is_tree and not f.is_connected
+    g = parse_edge_list("b c\nvertex x\na b\nvertex y\nd e\n")
+    assert g.labels == ("b", "c", "x", "a", "y", "d", "e")
+    assert g.components() == ((0, 1, 3), (2,), (4,), (5, 6))
+    norm = normalize_indices(g)
+    assert norm.labels == ("b", "c", "a", "x", "y", "d", "e")
+    assert norm.components() == ((0, 1, 2), (3,), (4,), (5, 6))
+    assert serialize_edge_list(norm) == "0 1\n0 2\nvertex 3\nvertex 4\n5 6\n"
+    _assert_round_trip(g)
     assert path(1).is_tree
     assert path(6).is_tree

@@ -6,8 +6,6 @@ from dissoc.forest import Forest, VertexSet
 from dissoc.kpath import (
     CoverMatchingCertificate,
     PathFamily,
-    _alpha_k_raw,
-    _mu_k_raw,
     alpha_k_brute,
     greedy_cover_matching,
     longest_path_order,
@@ -18,7 +16,7 @@ from dissoc.kpath import (
 )
 from dissoc.treegen import free_trees
 
-from util import path, star
+from util import alpha_k_raw, mu_k_raw, path, star
 
 
 def test_longest_path_order_examples():
@@ -130,13 +128,13 @@ def test_kke_reports():
 def test_alpha_plus_mu_can_fall_short_off_forests():
     # 5-cycle: independence 2, edge matching 2, so the sum is 4 < 5
     c5 = [[1, 4], [0, 2], [1, 3], [2, 4], [0, 3]]
-    assert _alpha_k_raw(c5, 2) == 2
-    assert _mu_k_raw(c5, 2) == 2
-    assert _alpha_k_raw(c5, 2) + _mu_k_raw(c5, 2) < 5
+    assert alpha_k_raw(c5, 2) == 2
+    assert mu_k_raw(c5, 2) == 2
+    assert alpha_k_raw(c5, 2) + mu_k_raw(c5, 2) < 5
     # the inequality direction holds on assorted small graphs
     k4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
     c4 = [[1, 3], [0, 2], [1, 3], [0, 2]]
     for adj in (c5, k4, c4):
         n = len(adj)
         for k in (2, 3):
-            assert _alpha_k_raw(adj, k) + _mu_k_raw(adj, k) <= n
+            assert alpha_k_raw(adj, k) + mu_k_raw(adj, k) <= n

@@ -1,7 +1,10 @@
-"""Shared test helpers: tiny builders, a brute-force isomorphism oracle and
-per-query oracles for the vertex classes and the critical edges."""
+"""Shared test helpers: tiny builders, a brute-force isomorphism oracle,
+per-query oracles for the vertex classes and the critical edges, and
+definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from dissoc.dissociation import alpha3_count_dp, alpha3_forced
 from dissoc.errors import TheoremViolation
@@ -96,3 +99,61 @@ def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
                 )
         out.append(e)
     return tuple(out)
+
+# definition-level helpers on arbitrary adjacency lists, used to probe the
+# inequality alpha_k + mu_k <= n on small graphs that are not forests
+def has_path_of_order(adj: list[list[int]], k: int) -> bool:
+    n = len(adj)
+    if k <= 1:
+        return n >= k
+
+    def extend(v: int, seen: int, length: int) -> bool:
+        if length == k:
+            return True
+        for w in adj[v]:
+            if not seen >> w & 1 and extend(w, seen | 1 << w, length + 1):
+                return True
+        return False
+
+    return any(extend(v, 1 << v, 1) for v in range(n))
+
+
+def alpha_k_raw(adj: list[list[int]], k: int) -> int:
+    n = len(adj)
+    for size in range(n, -1, -1):
+        for members in combinations(range(n), size):
+            remap = {v: i for i, v in enumerate(members)}
+            sub = [[remap[w] for w in adj[v] if w in remap] for v in members]
+            if not has_path_of_order(sub, k):
+                return size
+    return 0
+
+
+def mu_k_raw(adj: list[list[int]], k: int) -> int:
+    n = len(adj)
+    path_sets: set[int] = set()
+
+    def extend(v: int, seen: int, length: int) -> None:
+        if length == k:
+            path_sets.add(seen)
+            return
+        for w in adj[v]:
+            if not seen >> w & 1:
+                extend(w, seen | 1 << w, length + 1)
+
+    for v in range(n):
+        extend(v, 1 << v, 1)
+    paths = sorted(path_sets)
+    best = 0
+
+    def rec(i: int, used: int, size: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        if size + (n - used.bit_count()) // k <= best:
+            return
+        for j in range(i, len(paths)):
+            if used & paths[j] == 0:
+                rec(j + 1, used | paths[j], size + 1)
+
+    rec(0, 0, 0)
+    return best
