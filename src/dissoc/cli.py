@@ -132,9 +132,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     forest = _load_forest(args.file)
+    labels = [forest.label(v) for v in range(forest.n)]
     try:
         for vs in enumerate_mds(forest, cap=args.limit):
-            print(" ".join(forest.label(v) for v in sorted(vs)))
+            print(" ".join([labels[v] for v in vs]))  # a VertexSet iterates in vertex order
     except EnumerationCapExceeded as exc:
         print(f"truncated at {exc.cap} sets", file=sys.stderr)
         return EXIT_GUARD

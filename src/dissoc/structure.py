@@ -66,12 +66,12 @@ def _skipped(reason: str) -> CheckResult:
 def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
     """Edges whose deletion raises alpha3; checks the rise is exactly one
     and that every optimum of the split forest keeps both endpoints."""
-    parent, down, up, whole = _rerooted(forest)
-    base = sum(whole[r][0][0] for r in range(forest.n) if parent[r] == PARENT_NONE)
+    parent, down, up, (whole, _, _, _) = _rerooted(forest)
+    base = sum(whole[r] for r in range(forest.n) if parent[r] == PARENT_NONE)
     out = []
     for e in forest.edges:
         c = e[1] if parent[e[1]] == e[0] else e[0]
-        val = base - whole[c][0][0] + down[c][0][0] + up[c][0][0]
+        val = base - whole[c] + down[0][c] + up[0][c]
         if val == base:
             continue
         if val != base + 1:
@@ -79,8 +79,8 @@ def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
                 f"deleting edge {e} moved alpha3 from {base} to {val}"
             )
         for v in e:
-            best, avoid, _ = down[c] if v == c else up[c]
-            if avoid[0] == best[0]:
+            best, _, avoid, _, _, _ = down if v == c else up
+            if avoid[c] == best[c]:
                 raise TheoremViolation(
                     f"critical edge {e}: some optimum of the split forest avoids {v}"
                 )
@@ -143,10 +143,11 @@ def classify_vertices(forest: Forest) -> VertexClassification:
     n = forest.n
     included = 0
     excluded = 0
-    for v, (best, avoid, _) in enumerate(_rerooted(forest)[3]):
-        if avoid[0] < best[0]:
+    best_s, best_w, avoid_s, avoid_w = _rerooted(forest)[3]
+    for v in range(n):
+        if avoid_s[v] < best_s[v]:
             included |= 1 << v
-        elif avoid == best:  # the optima avoiding v are all of them
+        elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
             excluded |= 1 << v
     flexible = ((1 << n) - 1) & ~(included | excluded)
     return VertexClassification(

@@ -71,6 +71,23 @@ def test_enumerate_limit_truncates(capsys, tmp_path):
     assert "truncated" in err
 
 
+def test_enumerate_limit_at_the_set_count(capsys, tmp_path):
+    p = tmp_path / "p3.txt"
+    p.write_text("0 1\n1 2\n")
+    code, out, err = run(capsys, "enumerate", str(p), "--limit", "3")
+    assert (code, out, err) == (0, "0 1\n0 2\n1 2\n", "")
+    code, out, _ = run(capsys, "enumerate", str(p), "--limit", "2")
+    assert (code, out) == (2, "0 1\n0 2\n")
+
+
+def test_enumerate_prints_labels_in_vertex_order(capsys, tmp_path):
+    # vertices are numbered by first appearance: c, b, a
+    p = tmp_path / "cba.txt"
+    p.write_text("c b\nb a\n")
+    code, out, _ = run(capsys, "enumerate", str(p))
+    assert (code, out) == (0, "c b\nc a\nb a\n")
+
+
 def test_gen_trees_count_only(capsys):
     code, out, _ = run(capsys, "gen-trees", "--n", "4", "--count-only")
     assert code == 0

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dissoc import dissociation
 from dissoc.dissociation import (
+    _dp_forest,
+    _rerooted,
     alpha3_count_dp,
     alpha3_forced,
     brute_force_mds,
@@ -17,7 +20,7 @@ from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, VertexSet
 from dissoc.treegen import free_trees, pruefer_decode, random_labeled_tree
 
-from util import path, star
+from util import path, random_forest_with_isolated_vertices, star
 
 
 def members(sets):
@@ -130,6 +133,76 @@ def test_enumerate_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert len(first) == alpha and is_dissociation_set(tree, first)
+
+
+def test_enumerate_matches_brute_on_forests_with_isolated_vertices():
+    rng = random.Random(3)
+    for _ in range(60):
+        forest = random_forest_with_isolated_vertices(rng, 16)
+        _, sets = brute_force_mds(forest)
+        assert members(enumerate_mds(forest)) == members(sets), forest.edges
+
+
+def test_enumerate_empty_forest_yields_the_empty_set():
+    assert members(enumerate_mds(Forest.from_edges(0, []))) == [()]
+
+
+def test_enumerate_runs_one_pass_per_search_node(monkeypatch):
+    passes = 0
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return _rerooted(*args)
+
+    monkeypatch.setattr(dissociation, "_rerooted", counted)
+    for n in range(1, 11):
+        for t in free_trees(n):
+            passes = 0
+            sets = sum(1 for _ in enumerate_mds(t))
+            assert passes == 2 * sets - 1, t.edges
+
+
+def _combined(records):
+    """(size, count) of a forest from one record per component."""
+    if any(count == 0 for _, count in records):
+        return -1, 0
+    size, ways = 0, 1
+    for s, count in records:
+        size, ways = size + s, ways * count
+    return size, ways
+
+
+def test_masked_engine_matches_dp():
+    rng = random.Random(5)
+    infeasible = 0
+    for _ in range(150):
+        forest = random_forest_with_isolated_vertices(rng, 20)
+        inc = exc = 0
+        p_inc = rng.random()  # high rates tend to include a vertex and two neighbours
+        for v in range(forest.n):
+            pick = rng.random()
+            if pick < p_inc:
+                inc |= 1 << v
+            elif pick < p_inc + 0.1:
+                exc |= 1 << v
+        best_s, best_w, avoid_s, avoid_w = _rerooted(forest, inc, exc)[3]
+        comps = forest.components()  # each starts at its root
+        optima = [(best_s[comp[0]], best_w[comp[0]]) for comp in comps]
+        want = _dp_forest(forest, inc, exc)
+        infeasible += want == (-1, 0)
+        assert _combined(optima) == want, (forest.edges, inc, exc)
+        for i, comp in enumerate(comps):
+            r = comp[0]
+            for v in comp:
+                # every vertex of a component sees the same optimum of it
+                assert best_w[v] == best_w[r] and (best_s[v] == best_s[r] or best_w[r] == 0)
+                if inc >> v & 1:
+                    continue
+                parts = optima[:i] + [(avoid_s[v], avoid_w[v])] + optima[i + 1 :]
+                want = _dp_forest(forest, inc, exc | 1 << v)
+                assert _combined(parts) == want, (forest.edges, inc, exc, v)
+    assert 30 < infeasible < 120
 
 
 def test_enumerate_cap_truncates():

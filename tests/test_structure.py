@@ -5,7 +5,7 @@ import pytest
 
 from dissoc.dissociation import alpha3_count_dp, brute_force_mds, enumerate_mds
 from dissoc.extremal import lt8, star_construction
-from dissoc.forest import Forest, canonical_code, parse_edge_list
+from dissoc.forest import Forest, canonical_code
 from dissoc.kpath import _tree_k_path_sets
 from dissoc.structure import (
     build_canonical_mds,
@@ -17,7 +17,13 @@ from dissoc.structure import (
 )
 from dissoc.treegen import free_trees, random_labeled_tree
 
-from util import classify_vertices_oracle, critical_edges_alpha3_oracle, path, star
+from util import (
+    classify_vertices_oracle,
+    critical_edges_alpha3_oracle,
+    path,
+    random_forest_with_isolated_vertices,
+    star,
+)
 
 
 def test_critical_edges_small_trees():
@@ -217,10 +223,4 @@ def test_rerooted_structure_matches_oracles_on_random_trees():
 def test_rerooted_structure_matches_oracles_on_forests_with_isolated_vertices():
     rng = random.Random(7)
     for _ in range(60):
-        tree = random_labeled_tree(rng.randint(2, 30), rng)
-        lines = [f"x{u} x{v}" for u, v in tree.edges if rng.random() < 0.8]
-        lines += [f"vertex iso{i}" for i in range(rng.randint(1, 3))]
-        rng.shuffle(lines)
-        forest = parse_edge_list("\n".join(lines))
-        assert any(not forest.adjacency[v] for v in range(forest.n))
-        _assert_matches_oracles(forest)
+        _assert_matches_oracles(random_forest_with_isolated_vertices(rng, 30))

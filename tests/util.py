@@ -1,15 +1,17 @@
-"""Shared test helpers: tiny builders, a brute-force isomorphism oracle,
+"""Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
 per-query oracles for the vertex classes and the critical edges, and
 definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from dissoc.dissociation import alpha3_count_dp, alpha3_forced
 from dissoc.errors import TheoremViolation
-from dissoc.forest import Forest, VertexSet
+from dissoc.forest import Forest, VertexSet, parse_edge_list
 from dissoc.structure import VertexClassification
+from dissoc.treegen import random_labeled_tree
 
 
 def path(n: int) -> Forest:
@@ -18,6 +20,18 @@ def path(n: int) -> Forest:
 
 def star(n: int) -> Forest:
     return Forest.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def random_forest_with_isolated_vertices(rng: random.Random, max_tree: int) -> Forest:
+    """A random tree of order 2..max_tree with about a fifth of its edges
+    dropped, plus 1-3 ``vertex`` lines, parsed from shuffled lines."""
+    tree = random_labeled_tree(rng.randint(2, max_tree), rng)
+    lines = [f"x{u} x{v}" for u, v in tree.edges if rng.random() < 0.8]
+    lines += [f"vertex iso{i}" for i in range(rng.randint(1, 3))]
+    rng.shuffle(lines)
+    forest = parse_edge_list("\n".join(lines))
+    assert any(not forest.adjacency[v] for v in range(forest.n))
+    return forest
 
 
 def relabel(forest: Forest, perm: list[int]) -> Forest:
