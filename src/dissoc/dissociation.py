@@ -1,16 +1,16 @@
 """Dissociation-set invariants on forests.
 
-A dissociation set induces a subgraph of maximum degree at most one. The
-counting DP keeps three records per vertex of a rooted component:
-excluded, included with no partner yet, and included with a partner
-already chosen inside its subtree. Each record is a (best size, number
-of optimum sets) pair; a vertex included together with an included child
-consumes that child's partner-free record, and at most one such child is
-allowed. Components combine by adding sizes and multiplying counts.
-Include/exclude bit masks force vertices in or out. ``_dp_forest`` runs
-the DP once, for counts and forced optima. ``_rerooted`` adds an up pass
-that gives the records of every vertex over its component and of both
-sides of every edge in O(n); vertex classes, critical edges and the
+A dissociation set induces a subgraph of maximum degree at most one. One
+counting DP answers every question here. Its records per vertex of a
+rooted component are best, excluded, and included with no partner yet
+inside its subtree, each a (best size, number of optimum sets) pair. A
+vertex included together with an included child consumes that child's
+partner-free record, and at most one such child is allowed. Include and
+exclude bit masks force vertices in or out. ``_down`` folds the subtrees
+bottom-up; counts and forced optima add the sizes and multiply the counts
+of the component roots. ``_rerooted`` adds an up pass that gives the
+records of every vertex over its component and of both sides of every
+edge in O(n); vertex classes (``_classes``), critical edges and the
 enumeration of all maximum sets read its tables. ``brute_force_mds``,
 the oracle, scans every subset.
 
@@ -46,107 +46,9 @@ def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
     return True
 
 
-def _dp_forest(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
-    """Best size and count of optimum dissociation sets honoring the two masks.
-
-    Returns (-1, 0) when no set contains all of ``include_bits`` while
-    avoiding ``exclude_bits``.
-    """
-    n = forest.n
-    # per-vertex accumulators over the children folded so far:
-    #   ex: parent excluded, children free to take their best states
-    #   a0: parent included, every folded child excluded
-    #   a1: parent included, exactly one folded child is its partner
-    ex_s = [0] * n
-    ex_w = [1] * n
-    a0_s = [0] * n
-    a0_w = [1] * n
-    a1_s = [-1] * n
-    a1_w = [0] * n
-    order, parent = forest.bfs
-    total_s = 0
-    total_w = 1
-    for v in reversed(order):
-        # close out v's three states from its accumulators
-        exc_s, exc_w = ex_s[v], ex_w[v]
-        if a0_s[v] >= 0:
-            unm_s, unm_w = a0_s[v] + 1, a0_w[v]
-        else:
-            unm_s, unm_w = -1, 0
-        if a1_s[v] >= 0:
-            mat_s, mat_w = a1_s[v] + 1, a1_w[v]
-        else:
-            mat_s, mat_w = -1, 0
-        bit = 1 << v
-        if include_bits & bit:
-            exc_s, exc_w = -1, 0
-        if exclude_bits & bit:
-            unm_s, unm_w = -1, 0
-            mat_s, mat_w = -1, 0
-        p = parent[v]
-        if p == PARENT_NONE:
-            best = exc_s
-            if unm_s > best:
-                best = unm_s
-            if mat_s > best:
-                best = mat_s
-            if best < 0:
-                return -1, 0
-            ways = 0
-            if exc_s == best:
-                ways += exc_w
-            if unm_s == best:
-                ways += unm_w
-            if mat_s == best:
-                ways += mat_w
-            total_s += best
-            total_w *= ways
-            continue
-        # fold v into p: p excluded lets v take its best state
-        b = exc_s
-        if unm_s > b:
-            b = unm_s
-        if mat_s > b:
-            b = mat_s
-        if b < 0:
-            ex_s[p], ex_w[p] = -1, 0
-        elif ex_s[p] >= 0:
-            bw = 0
-            if exc_s == b:
-                bw += exc_w
-            if unm_s == b:
-                bw += unm_w
-            if mat_s == b:
-                bw += mat_w
-            ex_s[p] += b
-            ex_w[p] *= bw
-        # p included: v is either excluded or the unique partner child,
-        # in which case v must still be partner-free inside its subtree
-        old0_s, old0_w = a0_s[p], a0_w[p]
-        c1_s = a1_s[p] + exc_s if a1_s[p] >= 0 and exc_s >= 0 else -1
-        c1_w = a1_w[p] * exc_w if c1_s >= 0 else 0
-        c2_s = old0_s + unm_s if old0_s >= 0 and unm_s >= 0 else -1
-        c2_w = old0_w * unm_w if c2_s >= 0 else 0
-        if c1_s > c2_s:
-            a1_s[p], a1_w[p] = c1_s, c1_w
-        elif c2_s > c1_s:
-            a1_s[p], a1_w[p] = c2_s, c2_w
-        elif c1_s < 0:
-            a1_s[p], a1_w[p] = -1, 0
-        else:
-            a1_s[p], a1_w[p] = c1_s, c1_w + c2_w
-        if old0_s >= 0 and exc_s >= 0:
-            a0_s[p] = old0_s + exc_s
-            a0_w[p] = old0_w * exc_w
-        else:
-            a0_s[p], a0_w[p] = -1, 0
-    return total_s, total_w
-
-
 def alpha3_count_dp(forest: Forest) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
-    size, ways = _dp_forest(forest)
-    return DissociationResult(alpha3=size, count=ways)
+    return DissociationResult(*_optimum(forest))
 
 
 def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int | None:
@@ -157,26 +59,32 @@ def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int
     """
     if include.bits & exclude.bits:
         raise ValueError("include and exclude sets overlap")
-    size, _ = _dp_forest(forest, include.bits, exclude.bits)
-    return None if size < 0 else size
+    size, ways = _optimum(forest, include.bits, exclude.bits)
+    return size if ways else None
 
 
-def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
-    """Rerooting tables of the counting DP over every component, in O(n).
+def _optimum(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
+    """Best size and count of the optimum sets honoring the masks, from the
+    down records of the component roots; (-1, 0) when infeasible."""
+    parent, (best_s, best_w, _, _, _, _) = _down(forest, include_bits, exclude_bits)
+    size, ways = 0, 1
+    for r, p in enumerate(parent):
+        if p == PARENT_NONE:
+            size, ways = size + best_s[r], ways * best_w[r]
+    return (size, ways) if ways else (-1, 0)
 
-    Returns (parent, down, up, whole). ``down`` and ``up`` are six flat
-    lists: size and count of the records best, excluded and unmatched, of
-    v over its subtree and of parent(v) over the rest of the component (the
-    empty fold at a root; built from prefix and suffix folds over its other
-    neighbours). ``whole`` holds best and excluded of v over its component.
-    A record is also its neighbour's fold (ex, a0, a1) of ``_dp_forest``,
-    and the masks act in each close step as they do there. An infeasible
-    record has count 0 and a negative size.
-    """
+
+def _down(forest: Forest, include_bits: int, exclude_bits: int):
+    """Down pass of the counting DP: (parent, down), where ``down`` holds six
+    flat lists, size and count of the records best, excluded and unmatched
+    of each vertex over its subtree. A record is also the fold its parent
+    needs (unmatched is its partner-free state), and the masks act in each
+    close step. An infeasible record has count 0 and a negative size."""
     n = forest.n
     order, parent = forest.bfs
     none = -n - 1  # the size of an infeasible state: every sum holding it stays negative
-    # until v is closed, best/excluded/unmatched hold its folds a1/ex/a0 over its children
+    # until v is closed, best/excluded/unmatched hold its folds over its children with v
+    # included and one child its partner, v excluded, and v included with no partner
     dbs, dbw, dxs, dxw, dus, duw = [none] * n, [0] * n, [0] * n, [1] * n, [0] * n, [1] * n
     for v in reversed(order):
         x_s, x_w, u_s, u_w, b_s, b_w = dxs[v], dxw[v], dus[v] + 1, duw[v], dbs[v] + 1, dbw[v]
@@ -197,6 +105,23 @@ def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
                 m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
             dbs[p], dbw[p], dxs[p], dxw[p] = m_s, m_w, dxs[p] + b_s, dxw[p] * b_w
             dus[p], duw[p] = dus[p] + x_s, duw[p] * x_w
+    return parent, (dbs, dbw, dxs, dxw, dus, duw)
+
+
+def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
+    """Rerooting tables of the counting DP over every component, in O(n).
+
+    Returns (parent, down, up, whole). ``down`` comes from ``_down``. ``up``
+    holds the same three records of parent(v) over the rest of the
+    component (the empty fold at a root), built from prefix and suffix folds
+    over the parent's other neighbours; ``whole`` holds best and excluded
+    of v over its component. The masks act as in ``_down``.
+    """
+    n = forest.n
+    order = forest.bfs[0]
+    none = -n - 1
+    parent, down = _down(forest, include_bits, exclude_bits)
+    dbs, dbw, dxs, dxw, dus, duw = down
     # a root keeps the empty fold as its record from the parent side
     ubs, ubw, uxs, uxw, uus, uuw = [0] * n, [1] * n, [0] * n, [1] * n, [none] * n, [0] * n
     wbs, wbw, wxs, wxw = [0] * n, [0] * n, [0] * n, [0] * n
@@ -239,8 +164,20 @@ def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
                 m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
             g1_s, g1_w, ge_s, ge_w = m_s, m_w, ge_s + dbs[c], ge_w * dbw[c]
             g0_s, g0_w = g0_s + dxs[c], g0_w * dxw[c]
-    down = (dbs, dbw, dxs, dxw, dus, duw)
     return parent, down, (ubs, ubw, uxs, uxw, uus, uuw), (wbs, wbw, wxs, wxw)
+
+
+def _classes(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
+    """Bit masks of the vertices that every optimum honoring the masks holds,
+    and of those that none holds, from the ``whole`` records."""
+    best_s, best_w, avoid_s, avoid_w = _rerooted(forest, include_bits, exclude_bits)[3]
+    held, avoided = include_bits, exclude_bits  # the masked vertices are decided already
+    for v in VertexSet(((1 << forest.n) - 1) & ~(held | avoided), forest.n):
+        if avoid_s[v] < best_s[v]:  # every optimum holds v
+            held |= 1 << v
+        elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
+            avoided |= 1 << v
+    return held, avoided
 
 
 def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int, list[VertexSet]]:
@@ -282,31 +219,25 @@ def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int
 def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]:
     """Yield every maximum dissociation set once, in lexicographic order.
 
-    Flashlight search (Read and Tarjan, 1975) on an explicit stack: each
-    search node runs one masked ``_rerooted`` pass, fixes each following
-    vertex that every optimum under its masks holds or avoids, and
-    branches, include first, at the first vertex that allows both. So every
-    node branches or yields: 2|sets| - 1 passes, O(n) amortized per set.
-    The delay is not bounded that way, as a descent costs one pass per
-    branching vertex. Raises EnumerationCapExceeded after ``cap`` sets.
+    Flashlight search (Read and Tarjan, 1975) on an explicit stack of masks:
+    each search node runs one masked ``_classes`` pass and yields when all
+    optima under its masks agree on every vertex; otherwise it branches,
+    include first, on its lowest free vertex, below which every vertex is
+    forced in both children. So 2|sets| - 1 passes, O(n) amortized per set;
+    a descent costs one pass per branching vertex, so the delay is not
+    bounded that way. Raises EnumerationCapExceeded after ``cap`` sets.
     """
     n = forest.n
     emitted = 0
-    # (first undecided vertex, include, exclude); include is pushed last, so tried first
-    stack = [(0, 0, 0)]
+    stack = [(0, 0)]  # (include, exclude); include is pushed last, so tried first
     while stack:
-        i, inc, exc = stack.pop()
-        best_s, best_w, avoid_s, avoid_w = _rerooted(forest, inc, exc)[3]
-        for v in range(i, n):
-            if avoid_s[v] < best_s[v]:  # every optimum holds v
-                inc |= 1 << v
-            elif avoid_w[v] == best_w[v]:  # no optimum holds v
-                exc |= 1 << v
-            else:
-                stack += ((v + 1, inc, exc | 1 << v), (v + 1, inc | 1 << v, exc))
-                break
-        else:
-            if cap is not None and emitted >= cap:
-                raise EnumerationCapExceeded(cap)
-            emitted += 1
-            yield VertexSet(inc, n)
+        held, avoided = _classes(forest, *stack.pop())
+        free = ((1 << n) - 1) & ~(held | avoided)
+        if free:
+            low = free & -free
+            stack += ((held, avoided | low), (held | low, avoided))
+            continue
+        if cap is not None and emitted >= cap:
+            raise EnumerationCapExceeded(cap)
+        emitted += 1
+        yield VertexSet(held, n)

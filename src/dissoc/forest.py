@@ -77,11 +77,8 @@ class VertexSet:
         return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        # one pass over the binary digits, lowest first
+        return iter([v for v, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1"])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dissociation import _rerooted, alpha3_count_dp, enumerate_mds, is_dissociation_set
+from .dissociation import _classes, _rerooted, alpha3_count_dp, enumerate_mds, is_dissociation_set
 from .errors import TheoremViolation
 from .forest import PARENT_NONE, Forest, VertexSet, root_at
 from .kpath import greedy_cover_matching
@@ -141,14 +141,7 @@ def _group_critical_edges(n: int, crit: tuple[Edge, ...]) -> CriticalStructure:
 def classify_vertices(forest: Forest) -> VertexClassification:
     """Partition vertices by membership across all maximum dissociation sets."""
     n = forest.n
-    included = 0
-    excluded = 0
-    best_s, best_w, avoid_s, avoid_w = _rerooted(forest)[3]
-    for v in range(n):
-        if avoid_s[v] < best_s[v]:
-            included |= 1 << v
-        elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
-            excluded |= 1 << v
+    included, excluded = _classes(forest)
     flexible = ((1 << n) - 1) & ~(included | excluded)
     return VertexClassification(
         flexible=VertexSet(flexible, n),
@@ -194,8 +187,12 @@ def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[
 def verify_structure_theorems(
     forest: Forest, enumeration_cap: int = ENUMERATION_CAP
 ) -> dict[str, CheckResult]:
-    """Run every structural check on one tree; results never raise.
+    """Run every structural check on one tree and report each outcome.
 
+    A failed check is reported with its witness, except the two checks of
+    ``critical_edges_alpha3`` (alpha3 rises by exactly one when a critical
+    edge is deleted, and every optimum of the split forest keeps both of its
+    endpoints): their TheoremViolation propagates to the caller.
     Enumeration-backed checks are reported "skipped" (never "pass") when
     the number of maximum dissociation sets exceeds ``enumeration_cap``.
     """

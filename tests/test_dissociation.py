@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dissoc import dissociation
 from dissoc.dissociation import (
-    _dp_forest,
     _rerooted,
     alpha3_count_dp,
     alpha3_forced,
@@ -20,7 +19,7 @@ from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, VertexSet
 from dissoc.treegen import free_trees, pruefer_decode, random_labeled_tree
 
-from util import path, random_forest_with_isolated_vertices, star
+from util import dp_forest, path, random_forest_with_isolated_vertices, star
 
 
 def members(sets):
@@ -189,9 +188,14 @@ def test_masked_engine_matches_dp():
         best_s, best_w, avoid_s, avoid_w = _rerooted(forest, inc, exc)[3]
         comps = forest.components()  # each starts at its root
         optima = [(best_s[comp[0]], best_w[comp[0]]) for comp in comps]
-        want = _dp_forest(forest, inc, exc)
+        want = dp_forest(forest, inc, exc)
         infeasible += want == (-1, 0)
         assert _combined(optima) == want, (forest.edges, inc, exc)
+        # the root fold of the counting and forced queries
+        forced = alpha3_forced(forest, VertexSet(inc, forest.n), VertexSet(exc, forest.n))
+        assert forced == (None if want == (-1, 0) else want[0]), (forest.edges, inc, exc)
+        res = alpha3_count_dp(forest)
+        assert (res.alpha3, res.count) == dp_forest(forest), forest.edges
         for i, comp in enumerate(comps):
             r = comp[0]
             for v in comp:
@@ -200,7 +204,7 @@ def test_masked_engine_matches_dp():
                 if inc >> v & 1:
                     continue
                 parts = optima[:i] + [(avoid_s[v], avoid_w[v])] + optima[i + 1 :]
-                want = _dp_forest(forest, inc, exc | 1 << v)
+                want = dp_forest(forest, inc, exc | 1 << v)
                 assert _combined(parts) == want, (forest.edges, inc, exc, v)
     assert 30 < infeasible < 120
 

@@ -1,15 +1,15 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
-per-query oracles for the vertex classes and the critical edges, and
-definition-level k-path searches on arbitrary graphs."""
+a second counting DP with its own state layout, per-query oracles for the vertex classes
+and the critical edges built on it, and definition-level k-path searches on arbitrary
+graphs."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from dissoc.dissociation import alpha3_count_dp, alpha3_forced
 from dissoc.errors import TheoremViolation
-from dissoc.forest import Forest, VertexSet, parse_edge_list
+from dissoc.forest import PARENT_NONE, Forest, VertexSet, parse_edge_list
 from dissoc.structure import VertexClassification
 from dissoc.treegen import random_labeled_tree
 
@@ -69,18 +69,113 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
     return extend(0)
 
 
+def dp_forest(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
+    """Best size and count of optimum dissociation sets honoring the two masks.
+
+    Returns (-1, 0) when no set contains all of ``include_bits`` while
+    avoiding ``exclude_bits``.
+    """
+    n = forest.n
+    # per-vertex accumulators over the children folded so far:
+    #   ex: parent excluded, children free to take their best states
+    #   a0: parent included, every folded child excluded
+    #   a1: parent included, exactly one folded child is its partner
+    ex_s = [0] * n
+    ex_w = [1] * n
+    a0_s = [0] * n
+    a0_w = [1] * n
+    a1_s = [-1] * n
+    a1_w = [0] * n
+    order, parent = forest.bfs
+    total_s = 0
+    total_w = 1
+    for v in reversed(order):
+        # close out v's three states from its accumulators
+        exc_s, exc_w = ex_s[v], ex_w[v]
+        if a0_s[v] >= 0:
+            unm_s, unm_w = a0_s[v] + 1, a0_w[v]
+        else:
+            unm_s, unm_w = -1, 0
+        if a1_s[v] >= 0:
+            mat_s, mat_w = a1_s[v] + 1, a1_w[v]
+        else:
+            mat_s, mat_w = -1, 0
+        bit = 1 << v
+        if include_bits & bit:
+            exc_s, exc_w = -1, 0
+        if exclude_bits & bit:
+            unm_s, unm_w = -1, 0
+            mat_s, mat_w = -1, 0
+        p = parent[v]
+        if p == PARENT_NONE:
+            best = exc_s
+            if unm_s > best:
+                best = unm_s
+            if mat_s > best:
+                best = mat_s
+            if best < 0:
+                return -1, 0
+            ways = 0
+            if exc_s == best:
+                ways += exc_w
+            if unm_s == best:
+                ways += unm_w
+            if mat_s == best:
+                ways += mat_w
+            total_s += best
+            total_w *= ways
+            continue
+        # fold v into p: p excluded lets v take its best state
+        b = exc_s
+        if unm_s > b:
+            b = unm_s
+        if mat_s > b:
+            b = mat_s
+        if b < 0:
+            ex_s[p], ex_w[p] = -1, 0
+        elif ex_s[p] >= 0:
+            bw = 0
+            if exc_s == b:
+                bw += exc_w
+            if unm_s == b:
+                bw += unm_w
+            if mat_s == b:
+                bw += mat_w
+            ex_s[p] += b
+            ex_w[p] *= bw
+        # p included: v is either excluded or the unique partner child,
+        # in which case v must still be partner-free inside its subtree
+        old0_s, old0_w = a0_s[p], a0_w[p]
+        c1_s = a1_s[p] + exc_s if a1_s[p] >= 0 and exc_s >= 0 else -1
+        c1_w = a1_w[p] * exc_w if c1_s >= 0 else 0
+        c2_s = old0_s + unm_s if old0_s >= 0 and unm_s >= 0 else -1
+        c2_w = old0_w * unm_w if c2_s >= 0 else 0
+        if c1_s > c2_s:
+            a1_s[p], a1_w[p] = c1_s, c1_w
+        elif c2_s > c1_s:
+            a1_s[p], a1_w[p] = c2_s, c2_w
+        elif c1_s < 0:
+            a1_s[p], a1_w[p] = -1, 0
+        else:
+            a1_s[p], a1_w[p] = c1_s, c1_w + c2_w
+        if old0_s >= 0 and exc_s >= 0:
+            a0_s[p] = old0_s + exc_s
+            a0_w[p] = old0_w * exc_w
+        else:
+            a0_s[p], a0_w[p] = -1, 0
+    return total_s, total_w
+
+
 def classify_vertices_oracle(forest: Forest) -> VertexClassification:
     """Vertex classes from two forced DPs per vertex."""
     n = forest.n
-    alpha = alpha3_count_dp(forest).alpha3
-    none = VertexSet.empty(n)
+    alpha = dp_forest(forest)[0]
     included = 0
     excluded = 0
     for v in range(n):
-        single = VertexSet.from_iterable(n, [v])
-        if alpha3_forced(forest, none, single) < alpha:
+        if dp_forest(forest, 0, 1 << v)[0] < alpha:
             included |= 1 << v
-        elif alpha3_forced(forest, single, none) < alpha:
+        elif dp_forest(forest, 1 << v, 0)[0] < alpha:
             excluded |= 1 << v
     flexible = ((1 << n) - 1) & ~(included | excluded)
     return VertexClassification(
@@ -92,11 +187,11 @@ def classify_vertices_oracle(forest: Forest) -> VertexClassification:
 
 def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
     """Critical edges from one rebuilt forest, one DP and two forced DPs per edge."""
-    base = alpha3_count_dp(forest).alpha3
+    base = dp_forest(forest)[0]
     out = []
     for e in forest.edges:
         reduced = forest.without_edge(*e)
-        val = alpha3_count_dp(reduced).alpha3
+        val = dp_forest(reduced)[0]
         if val == base:
             continue
         if val != base + 1:
@@ -104,15 +199,13 @@ def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
                 f"deleting edge {e} moved alpha3 from {base} to {val}"
             )
         for v in e:
-            forced = alpha3_forced(
-                reduced, VertexSet.empty(forest.n), VertexSet.from_iterable(forest.n, [v])
-            )
-            if forced == val:
+            if dp_forest(reduced, 0, 1 << v)[0] == val:
                 raise TheoremViolation(
                     f"critical edge {e}: some optimum of the split forest avoids {v}"
                 )
         out.append(e)
     return tuple(out)
+
 
 # definition-level helpers on arbitrary adjacency lists, used to probe the
 # inequality alpha_k + mu_k <= n on small graphs that are not forests
