@@ -4,12 +4,15 @@ The closed-form record value depends on n mod 3, and the record holders
 are spider-like trees S*(...) built by gluing one designated leaf of each
 leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
 walks every isomorphism class of the given order and compares the
-observed record and record holders against the prediction.
+observed record and record holders against the prediction, coding only
+the trees whose count reaches the formula (a record below it takes a
+second pass with the record as the floor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -125,8 +128,9 @@ class ExtremalReport:
     note: str = ""
 
 
-def _count_and_code(tree: Forest) -> tuple[int, bytes]:
-    return alpha3_count_dp(tree).count, canonical_code(tree).code
+def _count_and_code(tree: Forest, floor: int) -> tuple[int, bytes | None]:
+    count = alpha3_count_dp(tree).count
+    return count, canonical_code(tree).code if count >= floor else None
 
 
 def _family_note(n: int) -> str:
@@ -146,16 +150,18 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
         raise GuardExceeded(f"sweep limited to n <= {guard}, got {n}")
     formula = max_mds_formula(n)
     predicted = tuple(canonical_code(t) for t in generate_extremal_family(n))
-    best = -1
-    argmax: list[bytes] = []
-    scanned = 0
-    for count, code in map_free_trees(n, _count_and_code, jobs, chunksize=64):
-        scanned += 1
-        if count > best:
-            best = count
-            argmax = [code]
-        elif count == best:
-            argmax.append(code)
+    floor = formula
+    while True:
+        best, argmax, scanned = -1, [], 0
+        for count, code in map_free_trees(n, partial(_count_and_code, floor=floor), jobs, 64):
+            scanned += 1
+            if count > best:
+                best, argmax = count, [code]
+            elif count == best:
+                argmax.append(code)
+        if best >= floor:
+            break
+        floor = best  # the record is below the formula: sweep again to code its holders
     observed = tuple(CanonicalCode(c) for c in sorted(argmax))
     characterized = n != 4
     match = best == formula

@@ -6,8 +6,8 @@ immutable after construction and safe to share between threads; the one
 BFS that roots every component at its smallest vertex is computed on
 first use and cached. Rooted views, centroid location, and an AHU-style
 canonical code (rooted at the centroid) give isomorphism-level identity
-for trees. ``Forest.from_edges`` is the one place where edges are
-validated.
+for trees. ``Forest.from_edges`` validates the edges of every input but a
+validated level sequence, which ``treegen`` decodes directly as a tree.
 
 Edge-list text format: one edge per line as two whitespace-separated
 labels, ``#`` starts a comment, and ``vertex <label>`` declares an

@@ -6,7 +6,8 @@ order: a rooted tree is written as its DFS preorder levels (root at 1),
 the successor trims the last deep vertex and re-expands, and a
 centroid-canonicality filter keeps exactly one rooted representative of
 every free tree (the first root subtree must not be taller, larger, or
-lexicographically later than the rest of the tree).
+lexicographically later than the rest of the tree). Each sequence is
+decoded straight into a ``Forest``, without ``Forest.from_edges``.
 
 ``map_free_trees`` is the one driver for sweeps over every free tree of
 an order, in order, in this process or in a pool of worker processes.
@@ -49,17 +50,19 @@ class LevelSequence:
 
 
 def forest_from_level_sequence(ls: LevelSequence) -> Forest:
-    """Decode preorder levels into a tree; vertex i is the i-th preorder visit."""
-    seq = ls.seq
-    edges = []
-    stack: list[int] = []
-    for i, lvl in enumerate(seq):
-        while stack and seq[stack[-1]] >= lvl:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
-    return Forest.from_edges(len(seq), edges)
+    """Decode preorder levels into a tree; vertex i is the i-th preorder visit
+    and hangs from the last vertex seen one level up. A valid level sequence
+    is a tree, so ``Forest.from_edges`` is not needed; adjacency comes sorted."""
+    seq, n = ls.seq, len(ls.seq)
+    last = [0] * (n + 1)  # last vertex seen at each level; the root is at level 1
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        p = last[seq[i] - 1]
+        neighbors[p].append(i)  # children come in preorder, after the parent
+        neighbors[i].append(p)
+        last[seq[i]] = i
+    edges = sorted((neighbors[i][0], i) for i in range(1, n))
+    return Forest(n, tuple(edges), tuple(map(tuple, neighbors)))
 
 
 def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:

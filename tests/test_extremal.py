@@ -1,5 +1,6 @@
 import pytest
 
+from dissoc import extremal, treegen
 from dissoc.dissociation import alpha3_count_dp
 from dissoc.errors import GuardExceeded
 from dissoc.extremal import (
@@ -120,16 +121,53 @@ def test_sweep_agrees_across_job_counts():
 
 
 def test_sweep_builds_each_tree_once(monkeypatch):
+    # the sweep decodes each tree once, validates none and codes only the
+    # trees whose count reaches the formula
     build = Forest.from_edges.__func__
-    calls = 0
+    decode = treegen.forest_from_level_sequence
+    code = extremal.canonical_code
+    validated = 0
+    swept: dict[int, Forest] = {}  # holding each tree keeps its id unique
+    coded_swept = 0
 
-    def counting(cls, *args, **kwargs):
-        nonlocal calls
-        calls += 1
+    def counting_build(cls, *args, **kwargs):
+        nonlocal validated
+        validated += 1
         return build(cls, *args, **kwargs)
 
-    family = len(generate_extremal_family(9))
-    monkeypatch.setattr(Forest, "from_edges", classmethod(counting))
+    def counting_decode(ls):
+        tree = decode(ls)
+        swept[id(tree)] = tree
+        return tree
+
+    def counting_code(tree):
+        nonlocal coded_swept
+        coded_swept += id(tree) in swept
+        return code(tree)
+
+    formula = max_mds_formula(9)
+    holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(9))
+    monkeypatch.setattr(Forest, "from_edges", classmethod(counting_build))
+    generate_extremal_family(9)
+    family_builds, validated = validated, 0
+    monkeypatch.setattr(treegen, "forest_from_level_sequence", counting_decode)
+    monkeypatch.setattr(extremal, "canonical_code", counting_code)
     report = exhaustive_extremal_check(9)
     assert report.trees_scanned == 47
-    assert calls <= report.trees_scanned + family
+    assert len(swept) == report.trees_scanned
+    assert validated == family_builds
+    assert coded_swept == holders == len(report.extremal_codes) == 1
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_record_below_formula_codes_every_holder(monkeypatch, n, jobs):
+    # a record below the formula takes a second pass that codes its holders
+    plain = exhaustive_extremal_check(n)
+    formula = max_mds_formula
+    monkeypatch.setattr(extremal, "max_mds_formula", lambda m: formula(m) + 1)
+    report = exhaustive_extremal_check(n, jobs=jobs)
+    assert report.match is False
+    assert report.observed_max == plain.observed_max
+    assert report.extremal_codes == plain.extremal_codes
+    assert report.trees_scanned == plain.trees_scanned

@@ -16,6 +16,8 @@ from dissoc.treegen import (
     random_labeled_tree,
 )
 
+from util import forest_from_level_sequence_oracle
+
 # number of unlabeled trees of order 1, 2, 3, ...
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
 
@@ -35,6 +37,28 @@ def test_level_sequence_validation():
 def test_decode_level_sequence():
     t = forest_from_level_sequence(LevelSequence((1, 2, 3, 2)))
     assert t.edges == ((0, 1), (0, 3), (1, 2))
+
+
+def every_level_sequence(n):
+    """Every valid level sequence of order n, canonical for its free tree or not."""
+    stack = [(1,)]
+    while stack:
+        seq = stack.pop()
+        if len(seq) == n:
+            yield LevelSequence(seq)
+            continue
+        stack.extend(seq + (lvl,) for lvl in range(2, seq[-1] + 2))
+
+
+def test_direct_decode_matches_validating_oracle():
+    # dataclass equality: n, sorted edges, sorted adjacency and labels all match
+    decoded = [ls for n in range(1, 13) for ls in level_sequences(n)]
+    decoded += [ls for n in range(1, 11) for ls in every_level_sequence(n)]
+    assert len(decoded) == 987 + 6918
+    for ls in decoded:
+        tree = forest_from_level_sequence(ls)
+        assert tree == forest_from_level_sequence_oracle(ls), ls.seq
+        assert tree.is_tree
 
 
 def test_free_tree_counts():

@@ -1,7 +1,7 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
-a second counting DP with its own state layout, per-query oracles for the vertex classes
-and the critical edges built on it, and definition-level k-path searches on arbitrary
-graphs."""
+a level-sequence decoder through the validating constructor, a second counting DP with its
+own state layout, per-query oracles for the vertex classes and the critical edges built on
+it, and definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from itertools import combinations
 from dissoc.errors import TheoremViolation
 from dissoc.forest import PARENT_NONE, Forest, VertexSet, parse_edge_list
 from dissoc.structure import VertexClassification
-from dissoc.treegen import random_labeled_tree
+from dissoc.treegen import LevelSequence, random_labeled_tree
 
 
 def path(n: int) -> Forest:
@@ -67,6 +67,20 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
         return False
 
     return extend(0)
+
+
+def forest_from_level_sequence_oracle(ls: LevelSequence) -> Forest:
+    """Stack decode of preorder levels, validated by ``Forest.from_edges``."""
+    seq = ls.seq
+    edges = []
+    stack: list[int] = []
+    for i, lvl in enumerate(seq):
+        while stack and seq[stack[-1]] >= lvl:
+            stack.pop()
+        if stack:
+            edges.append((stack[-1], i))
+        stack.append(i)
+    return Forest.from_edges(len(seq), edges)
 
 
 def dp_forest(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
