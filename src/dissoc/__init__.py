@@ -31,7 +31,6 @@ from .extremal import (
 )
 from .kpath import (
     CoverMatchingCertificate,
-    KkeReport,
     PathFamily,
     alpha_k_brute,
     greedy_cover_matching,
@@ -39,7 +38,6 @@ from .kpath import (
     mu_k_brute,
     tau_k_brute,
     verify_certificate,
-    verify_kke,
 )
 from .structure import (
     CheckResult,

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .dissociation import alpha3_count_dp, enumerate_mds
+from .dissociation import enumerate_mds
 from .errors import EnumerationCapExceeded, GuardExceeded, ParseError, TheoremViolation
 from .extremal import (
     SWEEP_LIMIT,
@@ -31,11 +31,14 @@ from .forest import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .kpath import alpha_k_brute, greedy_cover_matching, verify_certificate
+from .kpath import (
+    CoverMatchingCertificate,
+    alpha_k_brute,
+    greedy_cover_matching,
+    verify_certificate,
+)
 from .structure import (
     ENUMERATION_CAP,
-    classify_vertices,
-    critical_edges_alpha3,
     critical_edges_mu3,
     critical_structure,
     verify_structure_theorems,
@@ -84,34 +87,34 @@ def _labels(forest: Forest, vertices) -> list[str]:
     return [forest.label(v) for v in sorted(vertices)]
 
 
+def _kke(forest: Forest, cert: CoverMatchingCertificate, alpha3: int) -> dict:
+    """alpha_k + mu_k == n for the k of ``cert``: alpha_k is the counting
+    DP's alpha3 at k=3 and the subset search otherwise, mu_k the size of the
+    certificate's matching."""
+    alpha = alpha3 if cert.k == 3 else alpha_k_brute(forest, cert.k)
+    mu = len(cert.matching.paths)
+    return {"alpha_k": alpha, "mu_k": mu, "holds": alpha + mu == forest.n}
+
+
 def _analysis_document(forest: Forest, k_values: Sequence[int], cap: int) -> dict:
-    res = alpha3_count_dp(forest)
-    cls = classify_vertices(forest)
-    checks = verify_structure_theorems(forest, enumeration_cap=cap)
-    try:
-        struct = critical_structure(forest)
-        crit = struct.critical_edges
+    struct = critical_structure(forest)
+    cls = struct.classes
+    checks = verify_structure_theorems(forest, struct, enumeration_cap=cap)
+    insulated = triples = None
+    if struct.grouping_failure is None:
         insulated = [[forest.label(u), forest.label(v)] for u, v in struct.insulated_edges]
         triples = [[forest.label(a), forest.label(b), forest.label(c)]
                    for a, b, c in struct.critical_triples]
-    except TheoremViolation:
-        crit = critical_edges_alpha3(forest)
-        insulated = triples = None
-    kke = {}
-    for k in k_values:
-        cert = greedy_cover_matching(forest, k)
-        alpha = res.alpha3 if k == 3 else alpha_k_brute(forest, k)
-        mu = len(cert.matching.paths)
-        kke[str(k)] = {"alpha_k": alpha, "mu_k": mu, "holds": alpha + mu == forest.n}
+    kke = {str(k): _kke(forest, greedy_cover_matching(forest, k), struct.alpha3) for k in k_values}
     violations = sorted(
         f"{name}: {cr.witness}" for name, cr in checks.items() if cr.status == "fail"
     )
     return {
         "n": forest.n,
-        "alpha3": res.alpha3,
-        "mds_count": str(res.count),
-        "eta": len(crit),
-        "critical_edges": [[forest.label(u), forest.label(v)] for u, v in crit],
+        "alpha3": struct.alpha3,
+        "mds_count": str(struct.count),
+        "eta": struct.eta,
+        "critical_edges": [[forest.label(u), forest.label(v)] for u, v in struct.critical_edges],
         "insulated_edges": insulated,
         "critical_triples": triples,
         "flexible": _labels(forest, cls.flexible),
@@ -148,26 +151,24 @@ def _check_tree(
     """Per-tree verification work unit; returns (mds count, failure notes, skipped checks)."""
     failures: list[str] = []
     skipped = 0
-    for name, cr in verify_structure_theorems(tree, enumeration_cap=cap).items():
+    struct = critical_structure(tree)
+    for name, cr in verify_structure_theorems(tree, struct, enumeration_cap=cap).items():
         if cr.status == "fail":
             failures.append(f"{name}: {cr.witness}")
         skipped += cr.status == "skipped"
     try:
-        if set(critical_edges_alpha3(tree)) != set(critical_edges_mu3(tree)):
+        if set(struct.critical_edges) != set(critical_edges_mu3(tree)):
             failures.append("critical_edge_sets_coincide: alpha3 and mu3 sets differ")
     except TheoremViolation as exc:
         failures.append(f"criticality: {exc.witness}")
-    res = alpha3_count_dp(tree)
     for k in k_list:
         cert = greedy_cover_matching(tree, k)
         for problem in verify_certificate(tree, cert):
             failures.append(f"certificate k={k}: {problem}")
-        alpha = res.alpha3 if k == 3 else alpha_k_brute(tree, k)
-        if alpha + len(cert.matching.paths) != tree.n:
-            failures.append(
-                f"kke k={k}: alpha_k={alpha} mu_k={len(cert.matching.paths)} n={tree.n}"
-            )
-    return res.count, tuple(failures), skipped
+        kke = _kke(tree, cert, struct.alpha3)
+        if not kke["holds"]:
+            failures.append(f"kke k={k}: alpha_k={kke['alpha_k']} mu_k={kke['mu_k']} n={tree.n}")
+    return struct.count, tuple(failures), skipped
 
 
 def _cmd_verify(args) -> int:

@@ -167,16 +167,23 @@ def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
     return parent, down, (ubs, ubw, uxs, uxw, uus, uuw), (wbs, wbw, wxs, wxw)
 
 
-def _classes(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
-    """Bit masks of the vertices that every optimum honoring the masks holds,
-    and of those that none holds, from the ``whole`` records."""
-    best_s, best_w, avoid_s, avoid_w = _rerooted(forest, include_bits, exclude_bits)[3]
+def _classes(whole, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
+    """Bit masks of the vertices that every optimum honoring the masks holds, and
+    of those that none holds, from the ``whole`` records of ``_rerooted`` under them."""
+    best_s, best_w, avoid_s, avoid_w = whole
+    n = len(best_s)
     held, avoided = include_bits, exclude_bits  # the masked vertices are decided already
-    for v in VertexSet(((1 << forest.n) - 1) & ~(held | avoided), forest.n):
-        if avoid_s[v] < best_s[v]:  # every optimum holds v
-            held |= 1 << v
-        elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
-            avoided |= 1 << v
+    free = ((1 << n) - 1) & ~(held | avoided)
+    # only the free vertices, byte by byte: low-bit steps on all of free copy n bits each
+    for i, byte in enumerate(free.to_bytes((n + 7) // 8, "little")):
+        while byte:
+            low = byte & -byte
+            byte ^= low
+            v = 8 * i + low.bit_length() - 1
+            if avoid_s[v] < best_s[v]:  # every optimum holds v
+                held |= 1 << v
+            elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
+                avoided |= 1 << v
     return held, avoided
 
 
@@ -220,18 +227,20 @@ def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]
     """Yield every maximum dissociation set once, in lexicographic order.
 
     Flashlight search (Read and Tarjan, 1975) on an explicit stack of masks:
-    each search node runs one masked ``_classes`` pass and yields when all
-    optima under its masks agree on every vertex; otherwise it branches,
-    include first, on its lowest free vertex, below which every vertex is
-    forced in both children. So 2|sets| - 1 passes, O(n) amortized per set;
-    a descent costs one pass per branching vertex, so the delay is not
-    bounded that way. Raises EnumerationCapExceeded after ``cap`` sets.
+    each search node runs one masked ``_rerooted`` pass, reads its classes
+    with ``_classes`` and yields when all optima under its masks agree on
+    every vertex; otherwise it branches, include first, on its lowest free
+    vertex, below which every vertex is forced in both children. So
+    2|sets| - 1 passes, O(n) amortized per set; a descent costs one pass
+    per branching vertex, so the delay is not bounded that way. Raises
+    EnumerationCapExceeded after ``cap`` sets.
     """
     n = forest.n
     emitted = 0
     stack = [(0, 0)]  # (include, exclude); include is pushed last, so tried first
     while stack:
-        held, avoided = _classes(forest, *stack.pop())
+        include, exclude = stack.pop()
+        held, avoided = _classes(_rerooted(forest, include, exclude)[3], include, exclude)
         free = ((1 << n) - 1) & ~(held | avoided)
         if free:
             low = free & -free

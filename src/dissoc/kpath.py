@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dissociation import alpha3_count_dp
 from .errors import GuardExceeded, TheoremViolation
 from .forest import Forest, VertexSet
 
@@ -321,29 +320,3 @@ def verify_certificate(forest: Forest, cert: CoverMatchingCertificate) -> list[s
     if _longest_path_in_mask(forest, alive) >= k:
         problems.append(f"a {k}-path survives removal of the cover")
     return problems
-
-
-@dataclass(frozen=True)
-class KkeReport:
-    n: int
-    k: int
-    alpha_k: int
-    mu_k: int
-    holds: bool
-
-
-def verify_kke(forest: Forest, k: int, oracle: bool = False) -> KkeReport:
-    """Check alpha_k + mu_k == n.
-
-    Default mode takes alpha_k from the dissociation DP (k=3) or the
-    brute subset search, and mu_k from the greedy certificate; oracle
-    mode uses exhaustive search on both sides.
-    """
-    if oracle:
-        alpha = alpha_k_brute(forest, k)
-        mu = mu_k_brute(forest, k)
-    else:
-        alpha = alpha3_count_dp(forest).alpha3 if k == 3 else alpha_k_brute(forest, k)
-        mu = len(greedy_cover_matching(forest, k).matching.paths)
-    return KkeReport(n=forest.n, k=k, alpha_k=alpha, mu_k=mu, holds=alpha + mu == forest.n)
-

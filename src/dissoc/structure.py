@@ -7,20 +7,25 @@ Critical edges group into connected components that are single edges
 (insulated) or two adjacent edges (a critical 3-path) and never anything
 larger. Vertices split into three classes by their membership across
 all maximum dissociation sets: flexible (some but not all), static
-included (all), static excluded (none). Classes and critical edges come
-from one O(n) rerooting pass of the counting DP, which gives the records
-of every vertex over its component and of both sides of every edge.
+included (all), static excluded (none).
 
-``verify_structure_theorems`` re-checks all of these facts plus the
-branching bound on the number of maximum dissociation sets for one tree
-and reports each outcome separately; a failed check carries a witness.
+``critical_structure`` reads all of it from one O(n) rerooting pass of
+the counting DP, which gives the records of every vertex over its
+component and of both sides of every edge: the dissociation number and
+the number of maximum sets, the vertex classes, the critical edges and
+their grouping. ``classify_vertices`` and ``critical_edges_alpha3`` are
+reads of that structure. ``verify_structure_theorems`` re-checks the
+theorems plus the branching bound on the number of maximum sets against
+a given structure and reports each outcome separately; a failed check
+carries a witness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .dissociation import _classes, _rerooted, alpha3_count_dp, enumerate_mds, is_dissociation_set
+from .dissociation import _classes, _rerooted, enumerate_mds, is_dissociation_set
 from .errors import TheoremViolation
 from .forest import PARENT_NONE, Forest, VertexSet, root_at
 from .kpath import greedy_cover_matching
@@ -32,10 +37,21 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class CriticalStructure:
+    """What one rerooting pass tells about a forest.
+
+    ``insulated_edges`` and ``critical_triples`` are None when some critical
+    component has more than three vertices, which the structure theory
+    rules out; ``grouping_failure`` then names that component.
+    """
+
     critical_edges: tuple[Edge, ...]
-    insulated_edges: tuple[Edge, ...]
-    critical_triples: tuple[tuple[int, int, int], ...]  # (end, middle, end)
+    insulated_edges: tuple[Edge, ...] | None
+    critical_triples: tuple[tuple[int, int, int], ...] | None  # (end, middle, end)
     eta: int
+    grouping_failure: str | None
+    alpha3: int
+    count: int
+    classes: VertexClassification
 
 
 @dataclass(frozen=True)
@@ -63,29 +79,74 @@ def _skipped(reason: str) -> CheckResult:
     return CheckResult("skipped", reason)
 
 
-def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
-    """Edges whose deletion raises alpha3; checks the rise is exactly one
-    and that every optimum of the split forest keeps both endpoints."""
-    parent, down, up, (whole, _, _, _) = _rerooted(forest)
-    base = sum(whole[r] for r in range(forest.n) if parent[r] == PARENT_NONE)
-    out = []
+def critical_structure(forest: Forest) -> CriticalStructure:
+    """Count, vertex classes and critical edges of a forest from one
+    rerooting pass, with the critical edges grouped into insulated edges
+    and critical 3-paths.
+
+    Raises TheoremViolation when deleting an edge moves alpha3 by anything
+    but 0 or +1, or when some optimum of the forest split at a critical edge
+    avoids one of its endpoints.
+    """
+    n = forest.n
+    parent, down, up, whole = _rerooted(forest)
+    roots = [r for r in range(n) if parent[r] == PARENT_NONE]
+    alpha3 = sum(whole[0][r] for r in roots)
+    crit = []
     for e in forest.edges:
         c = e[1] if parent[e[1]] == e[0] else e[0]
-        val = base - whole[c] + down[0][c] + up[0][c]
-        if val == base:
+        val = alpha3 - whole[0][c] + down[0][c] + up[0][c]
+        if val == alpha3:
             continue
-        if val != base + 1:
-            raise TheoremViolation(
-                f"deleting edge {e} moved alpha3 from {base} to {val}"
-            )
+        if val != alpha3 + 1:
+            raise TheoremViolation(f"deleting edge {e} moved alpha3 from {alpha3} to {val}")
         for v in e:
             best, _, avoid, _, _, _ = down if v == c else up
             if avoid[c] == best[c]:
                 raise TheoremViolation(
                     f"critical edge {e}: some optimum of the split forest avoids {v}"
                 )
-        out.append(e)
-    return tuple(out)
+        crit.append(e)
+    insulated, triples, failure = _group_critical_edges(n, crit)
+    included, excluded = _classes(whole)
+    return CriticalStructure(
+        critical_edges=tuple(crit),
+        insulated_edges=insulated,
+        critical_triples=triples,
+        eta=len(crit),
+        grouping_failure=failure,
+        alpha3=alpha3,
+        count=math.prod(whole[1][r] for r in roots),
+        classes=VertexClassification(
+            flexible=VertexSet(((1 << n) - 1) & ~(included | excluded), n),
+            static_included=VertexSet(included, n),
+            static_excluded=VertexSet(excluded, n),
+        ),
+    )
+
+
+def _group_critical_edges(n: int, crit: list[Edge]):
+    """(insulated edges, triples, None), or (None, None, witness) past a 3-path."""
+    critical = Forest.from_edges(n, crit)
+    insulated = []
+    triples = []
+    for comp in critical.components():
+        if len(comp) == 2:
+            insulated.append(comp)  # BFS from the smaller end: already sorted
+        elif len(comp) == 3:
+            mid = next(v for v in comp if critical.degree(v) == 2)
+            ends = sorted(v for v in comp if v != mid)
+            triples.append((ends[0], mid, ends[1]))
+        elif len(comp) > 3:
+            edges = sorted(e for e in crit if e[0] in comp)
+            return None, None, f"critical component with {len(edges)} edges: {edges}"
+    return tuple(sorted(insulated)), tuple(sorted(triples)), None
+
+
+def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
+    """Edges whose deletion raises alpha3 (checked to be by exactly one),
+    read from ``critical_structure``."""
+    return critical_structure(forest).critical_edges
 
 
 def _mu3(forest: Forest) -> int:
@@ -106,66 +167,25 @@ def critical_edges_mu3(forest: Forest) -> tuple[Edge, ...]:
     return tuple(out)
 
 
-def critical_structure(forest: Forest) -> CriticalStructure:
-    """Group critical edges into insulated edges and critical 3-paths.
-
-    A connected group of three or more critical edges would falsify the
-    structure theory and raises TheoremViolation instead of being
-    classified.
-    """
-    return _group_critical_edges(forest.n, critical_edges_alpha3(forest))
-
-
-def _group_critical_edges(n: int, crit: tuple[Edge, ...]) -> CriticalStructure:
-    critical = Forest.from_edges(n, crit)
-    insulated = []
-    triples = []
-    for comp in critical.components():
-        if len(comp) == 2:
-            insulated.append(comp)  # BFS from the smaller end: already sorted
-        elif len(comp) == 3:
-            mid = next(v for v in comp if critical.degree(v) == 2)
-            ends = sorted(v for v in comp if v != mid)
-            triples.append((ends[0], mid, ends[1]))
-        elif len(comp) > 3:
-            edges = sorted(e for e in crit if e[0] in comp)
-            raise TheoremViolation(f"critical component with {len(edges)} edges: {edges}")
-    return CriticalStructure(
-        critical_edges=crit,
-        insulated_edges=tuple(sorted(insulated)),
-        critical_triples=tuple(sorted(triples)),
-        eta=len(crit),
-    )
-
-
 def classify_vertices(forest: Forest) -> VertexClassification:
-    """Partition vertices by membership across all maximum dissociation sets."""
-    n = forest.n
-    included, excluded = _classes(forest)
-    flexible = ((1 << n) - 1) & ~(included | excluded)
-    return VertexClassification(
-        flexible=VertexSet(flexible, n),
-        static_included=VertexSet(included, n),
-        static_excluded=VertexSet(excluded, n),
-    )
+    """Vertex classes across all maximum dissociation sets, from ``critical_structure``."""
+    return critical_structure(forest).classes
 
 
 def build_canonical_mds(forest: Forest, root: int) -> VertexSet:
     """Constructive maximum dissociation set: all static-included vertices
     plus the deeper endpoint of every critical edge for the given root."""
     view = root_at(forest, root)
-    crit = critical_edges_alpha3(forest)
-    cls = classify_vertices(forest)
-    bits = cls.static_included.bits
-    for u, v in crit:
+    struct = critical_structure(forest)
+    bits = struct.classes.static_included.bits
+    for u, v in struct.critical_edges:
         deeper = u if view.level[u] > view.level[v] else v
         bits |= 1 << deeper
     result = VertexSet(bits, forest.n)
-    alpha = alpha3_count_dp(forest).alpha3
-    if not is_dissociation_set(forest, result) or len(result) != alpha:
+    if not is_dissociation_set(forest, result) or len(result) != struct.alpha3:
         raise TheoremViolation(
             f"constructive set {result.members()} at root {root} is not a maximum "
-            f"dissociation set (alpha3={alpha})"
+            f"dissociation set (alpha3={struct.alpha3})"
         )
     return result
 
@@ -185,22 +205,24 @@ def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[
 
 
 def verify_structure_theorems(
-    forest: Forest, enumeration_cap: int = ENUMERATION_CAP
+    forest: Forest, structure: CriticalStructure, enumeration_cap: int = ENUMERATION_CAP
 ) -> dict[str, CheckResult]:
-    """Run every structural check on one tree and report each outcome.
+    """Run every structural check on one tree against its ``critical_structure``
+    and report each outcome.
 
-    A failed check is reported with its witness, except the two checks of
-    ``critical_edges_alpha3`` (alpha3 rises by exactly one when a critical
-    edge is deleted, and every optimum of the split forest keeps both of its
-    endpoints): their TheoremViolation propagates to the caller.
+    A failed check is reported with its witness. A critical component of
+    more than three vertices fails ``critical_components_are_edge_or_3path``
+    and skips the checks that read the grouping. The two checks that
+    ``critical_structure`` itself makes (alpha3 rises by exactly one when a
+    critical edge is deleted, and every optimum of the split forest keeps
+    both of its endpoints) raise TheoremViolation there instead.
     Enumeration-backed checks are reported "skipped" (never "pass") when
     the number of maximum dissociation sets exceeds ``enumeration_cap``.
     """
     checks: dict[str, CheckResult] = {}
-    res = alpha3_count_dp(forest)
-    cls = classify_vertices(forest)
+    cls = structure.classes
     a_set = set(cls.static_included)
-    crit = critical_edges_alpha3(forest)
+    crit = structure.critical_edges
 
     # flexible vertices are exactly the endpoints of critical edges
     endpoints = {v for e in crit for v in e}
@@ -213,13 +235,8 @@ def verify_structure_theorems(
         )
 
     # critical components must be single edges or 3-paths
-    struct: CriticalStructure | None
-    try:
-        struct = _group_critical_edges(forest.n, crit)
-        checks["critical_components_are_edge_or_3path"] = _passed()
-    except TheoremViolation as exc:
-        struct = None
-        checks["critical_components_are_edge_or_3path"] = _failed(exc.witness)
+    failure = structure.grouping_failure
+    checks["critical_components_are_edge_or_3path"] = _failed(failure) if failure else _passed()
 
     structural = (
         "insulated_endpoint_anchored_in_static_included",
@@ -227,12 +244,12 @@ def verify_structure_theorems(
         "count_within_branching_bound",
     )
     iso, edge_ends = _static_profile(forest, cls.static_included)
-    if struct is None:
+    if failure:
         for name in structural:
             checks[name] = _skipped("critical structure unavailable")
     else:
         bad = None
-        for e in struct.insulated_edges:
+        for e in structure.insulated_edges:
             for v in e:
                 anchors = [w for w in forest.adjacency[v] if w in a_set]
                 if len(anchors) != 1 or anchors[0] not in iso:
@@ -245,7 +262,7 @@ def verify_structure_theorems(
         )
 
         bad = None
-        for triple in struct.critical_triples:
+        for triple in structure.critical_triples:
             for v in triple:
                 hits = [w for w in forest.adjacency[v] if w in a_set]
                 if hits:
@@ -255,22 +272,22 @@ def verify_structure_theorems(
                 break
         checks["triple_avoids_static_included"] = _failed(bad) if bad else _passed()
 
-        x = len(struct.critical_triples)
-        ins = len(struct.insulated_edges)
+        x = len(structure.critical_triples)
+        ins = len(structure.insulated_edges)
         bound = 3**x * 2**ins
-        if res.count <= bound:
+        if structure.count <= bound:
             checks["count_within_branching_bound"] = _passed()
         else:
             checks["count_within_branching_bound"] = _failed(
-                f"count {res.count} exceeds 3^{x} * 2^{ins} = {bound}"
+                f"count {structure.count} exceeds 3^{x} * 2^{ins} = {bound}"
             )
 
     # alpha3 decomposes into the static-included size plus the critical edge count
-    if res.alpha3 == len(cls.static_included) + len(crit):
+    if structure.alpha3 == len(cls.static_included) + len(crit):
         checks["alpha3_equals_static_plus_critical"] = _passed()
     else:
         checks["alpha3_equals_static_plus_critical"] = _failed(
-            f"alpha3={res.alpha3} static={len(cls.static_included)} eta={len(crit)}"
+            f"alpha3={structure.alpha3} static={len(cls.static_included)} eta={len(crit)}"
         )
 
     # neighborhood rule for statically excluded vertices
@@ -290,9 +307,9 @@ def verify_structure_theorems(
 
     # enumeration-backed checks
     enum_names = ("every_mds_hits_each_critical_edge", "mds_meets_exact_pattern")
-    if res.count > enumeration_cap:
+    if structure.count > enumeration_cap:
         for name in enum_names:
-            checks[name] = _skipped(f"{res.count} maximum sets exceed cap {enumeration_cap}")
+            checks[name] = _skipped(f"{structure.count} maximum sets exceed cap {enumeration_cap}")
     else:
         sets = list(enumerate_mds(forest))
         bad = None
@@ -305,19 +322,19 @@ def verify_structure_theorems(
                 break
         checks["every_mds_hits_each_critical_edge"] = _failed(bad) if bad else _passed()
 
-        if struct is None:
+        if failure:
             checks["mds_meets_exact_pattern"] = _skipped("critical structure unavailable")
         else:
             bad = None
             for s in sets:
-                for e in struct.insulated_edges:
+                for e in structure.insulated_edges:
                     took = (e[0] in s) + (e[1] in s)
                     if took != 1:
                         bad = f"set {s.members()} takes {took} ends of insulated {e}"
                         break
                 if bad:
                     break
-                for triple in struct.critical_triples:
+                for triple in structure.critical_triples:
                     took = sum(1 for v in triple if v in s)
                     if took != 2:
                         bad = f"set {s.members()} takes {took} of triple {triple}"

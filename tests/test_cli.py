@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
+from dissoc import dissociation, structure
 from dissoc.cli import main
 from dissoc.forest import canonical_code, parse_edge_list
+from dissoc.structure import critical_structure
 
 LT8_TEXT = "u1 u2\nu2 u3\nu3 u4\nu1 v1\nu2 v2\nu3 v3\nu4 v4\n"
 P5_TEXT = "0 1\n1 2\n2 3\n3 4\n"
@@ -223,3 +226,64 @@ def test_verify_reports_skipped_checks(capsys):
     assert sum(skipped) > 0
     _, _, err = run(capsys, "verify", "--n-max", "8")
     assert re.findall(r"skipped=(\d+)", err) == ["0"] * 8
+
+
+def count_engine_passes(monkeypatch) -> dict:
+    """Count unmasked ``_rerooted`` passes, and ``_down`` passes made outside
+    a ``_rerooted`` pass, from here to the end of the test."""
+    counts = {"unmasked_rerooted": 0, "standalone_down": 0}
+    inside = []
+    down, rerooted = dissociation._down, dissociation._rerooted
+
+    def counting_down(*args):
+        counts["standalone_down"] += not inside
+        return down(*args)
+
+    def counting_rerooted(forest, include_bits=0, exclude_bits=0):
+        counts["unmasked_rerooted"] += not (include_bits or exclude_bits)
+        inside.append(True)
+        try:
+            return rerooted(forest, include_bits, exclude_bits)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dissociation, "_down", counting_down)
+    monkeypatch.setattr(dissociation, "_rerooted", counting_rerooted)
+    monkeypatch.setattr(structure, "_rerooted", counting_rerooted)
+    return counts
+
+
+def test_analyze_runs_one_engine_pass(capsys, monkeypatch, lt8_file):
+    counts = count_engine_passes(monkeypatch)
+    code, _, _ = run(capsys, "analyze", lt8_file, "--enumerate-cap", "0")
+    assert code == 0
+    assert counts == {"unmasked_rerooted": 1, "standalone_down": 0}
+
+
+def test_verify_runs_one_engine_pass_per_tree(capsys, monkeypatch):
+    counts = count_engine_passes(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n-max", "8", "--k-list", "3", "--enumerate-cap", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "total trees=48 failures=0"
+    assert counts == {"unmasked_rerooted": 48, "standalone_down": 0}
+
+
+def test_analyze_reports_a_grouping_failure(capsys, monkeypatch, lt8_file):
+    witness = "critical component with 3 edges: [(0, 1), (1, 2), (2, 3)]"
+
+    def ungrouped(forest):
+        return dataclasses.replace(
+            critical_structure(forest),
+            insulated_edges=None,
+            critical_triples=None,
+            grouping_failure=witness,
+        )
+
+    monkeypatch.setattr("dissoc.cli.critical_structure", ungrouped)
+    code, out, _ = run(capsys, "analyze", lt8_file)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["insulated_edges"] is None and doc["critical_triples"] is None
+    assert doc["violations"] == [f"critical_components_are_edge_or_3path: {witness}"]
+    assert doc["theorem_checks"]["count_within_branching_bound"] == "skipped"
+    assert doc["eta"] == len(doc["critical_edges"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, canonical_code
 from dissoc.kpath import _tree_k_path_sets
 from dissoc.structure import (
+    CheckResult,
     build_canonical_mds,
     classify_vertices,
     critical_edges_alpha3,
@@ -20,6 +22,7 @@ from dissoc.treegen import free_trees, random_labeled_tree
 from util import (
     classify_vertices_oracle,
     critical_edges_alpha3_oracle,
+    dp_forest,
     path,
     random_forest_with_isolated_vertices,
     star,
@@ -164,13 +167,13 @@ def test_every_maximum_3_matching_covers_critical_edges():
 def test_verify_structure_theorems_all_pass():
     for n in range(1, 10):
         for t in free_trees(n):
-            rep = verify_structure_theorems(t)
+            rep = verify_structure_theorems(t, critical_structure(t))
             bad = {k: v for k, v in rep.items() if v.status != "pass"}
             assert not bad, (n, t.edges, bad)
 
 
 def test_verify_skips_enumeration_over_cap():
-    rep = verify_structure_theorems(path(3), enumeration_cap=2)
+    rep = verify_structure_theorems(path(3), critical_structure(path(3)), enumeration_cap=2)
     assert rep["every_mds_hits_each_critical_edge"].status == "skipped"
     assert rep["mds_meets_exact_pattern"].status == "skipped"
     # non-enumeration checks still ran
@@ -178,7 +181,7 @@ def test_verify_skips_enumeration_over_cap():
 
 
 def test_verify_pass_results_carry_no_witness():
-    rep = verify_structure_theorems(path(5))
+    rep = verify_structure_theorems(path(5), critical_structure(path(5)))
     assert all(cr.witness is None for cr in rep.values() if cr.status == "pass")
 
 
@@ -199,13 +202,15 @@ def test_structure_ops_work_on_forests():
     assert critical_edges_alpha3(forest) == ((0, 1), (1, 2), (3, 4), (4, 5))
     s = critical_structure(forest)
     assert len(s.critical_triples) == 2
-    rep = verify_structure_theorems(forest)
+    rep = verify_structure_theorems(forest, s)
     assert all(cr.status == "pass" for cr in rep.values())
 
 
 def _assert_matches_oracles(forest):
     assert classify_vertices(forest) == classify_vertices_oracle(forest), forest.edges
     assert critical_edges_alpha3(forest) == critical_edges_alpha3_oracle(forest), forest.edges
+    s = critical_structure(forest)
+    assert (s.alpha3, s.count) == dp_forest(forest), forest.edges
 
 
 def test_rerooted_structure_matches_oracles_on_free_trees():
@@ -224,3 +229,24 @@ def test_rerooted_structure_matches_oracles_on_forests_with_isolated_vertices():
     rng = random.Random(7)
     for _ in range(60):
         _assert_matches_oracles(random_forest_with_isolated_vertices(rng, 30))
+
+
+def test_grouping_failure_fails_one_check_and_skips_the_grouped_ones():
+    witness = "critical component with 3 edges: [(0, 1), (1, 2), (2, 3)]"
+    s = dataclasses.replace(
+        critical_structure(path(3)),
+        insulated_edges=None,
+        critical_triples=None,
+        grouping_failure=witness,
+    )
+    rep = verify_structure_theorems(path(3), s)
+    assert rep["critical_components_are_edge_or_3path"] == CheckResult("fail", witness)
+    for name in (
+        "insulated_endpoint_anchored_in_static_included",
+        "triple_avoids_static_included",
+        "count_within_branching_bound",
+        "mds_meets_exact_pattern",
+    ):
+        assert rep[name].status == "skipped", name
+    others = set(rep) - {"critical_components_are_edge_or_3path"}
+    assert {rep[name].status for name in others} == {"pass", "skipped"}
