@@ -43,7 +43,7 @@ from .structure import (
     critical_structure,
     verify_structure_theorems,
 )
-from .treegen import free_trees, map_free_trees
+from .treegen import free_tree_count, free_trees, map_free_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
         failures = []
         skipped = 0
         best = -1
-        for count, notes, tree_skipped in map_free_trees(n, check, args.jobs, chunksize=16):
+        for count, notes, tree_skipped in map_free_trees(free_trees(n), check, args.jobs, 16):
             trees += 1
             best = max(best, count)
             failures.extend(notes)
@@ -261,7 +261,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_gen_trees(args) -> int:
     if args.count_only:
-        print(sum(1 for _ in free_trees(args.n)))
+        print(free_tree_count(args.n))
         return EXIT_OK
     for i, tree in enumerate(free_trees(args.n)):
         if i:

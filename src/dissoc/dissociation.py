@@ -7,10 +7,11 @@ inside its subtree, each a (best size, number of optimum sets) pair. A
 vertex included together with an included child consumes that child's
 partner-free record, and at most one such child is allowed. Include and
 exclude bit masks force vertices in or out. ``_down`` folds the subtrees
-bottom-up; counts and forced optima add the sizes and multiply the counts
-of the component roots. ``_rerooted`` adds an up pass that gives the
-records of every vertex over its component and of both sides of every
-edge in O(n); vertex classes (``_classes``), critical edges and the
+bottom-up over a rooted parent array, so a sweep counts a level sequence
+without decoding it; counts and forced optima add the sizes and multiply
+the counts of the component roots. ``_rerooted`` adds an up pass that
+gives the records of every vertex over its component and of both sides of
+every edge in O(n); vertex classes (``_classes``), critical edges and the
 enumeration of all maximum sets read its tables. ``brute_force_mds``,
 the oracle, scans every subset.
 
@@ -24,6 +25,7 @@ from typing import Iterator
 
 from .errors import EnumerationCapExceeded, GuardExceeded
 from .forest import PARENT_NONE, Forest, VertexSet
+from .treegen import LevelSequence
 
 BRUTE_FORCE_LIMIT = 26
 
@@ -46,9 +48,10 @@ def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
     return True
 
 
-def alpha3_count_dp(forest: Forest) -> DissociationResult:
+def alpha3_count_dp(tree: Forest | LevelSequence) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
-    return DissociationResult(*_optimum(forest))
+    rooted = tree.bfs if isinstance(tree, Forest) else (range(len(tree.seq)), tree.parents())
+    return DissociationResult(*_optimum(*rooted))
 
 
 def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int | None:
@@ -59,14 +62,14 @@ def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int
     """
     if include.bits & exclude.bits:
         raise ValueError("include and exclude sets overlap")
-    size, ways = _optimum(forest, include.bits, exclude.bits)
+    size, ways = _optimum(*forest.bfs, include.bits, exclude.bits)
     return size if ways else None
 
 
-def _optimum(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
+def _optimum(order, parent, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
     """Best size and count of the optimum sets honoring the masks, from the
     down records of the component roots; (-1, 0) when infeasible."""
-    parent, (best_s, best_w, _, _, _, _) = _down(forest, include_bits, exclude_bits)
+    best_s, best_w, _, _, _, _ = _down(order, parent, include_bits, exclude_bits)
     size, ways = 0, 1
     for r, p in enumerate(parent):
         if p == PARENT_NONE:
@@ -74,14 +77,13 @@ def _optimum(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tu
     return (size, ways) if ways else (-1, 0)
 
 
-def _down(forest: Forest, include_bits: int, exclude_bits: int):
-    """Down pass of the counting DP: (parent, down), where ``down`` holds six
-    flat lists, size and count of the records best, excluded and unmatched
-    of each vertex over its subtree. A record is also the fold its parent
-    needs (unmatched is its partner-free state), and the masks act in each
-    close step. An infeasible record has count 0 and a negative size."""
-    n = forest.n
-    order, parent = forest.bfs
+def _down(order, parent, include_bits: int, exclude_bits: int):
+    """Down pass of the counting DP over a parent array (``PARENT_NONE`` at a root)
+    and an ``order`` with parents first: six flat lists, size and count of the
+    records best, excluded and unmatched of each vertex over its subtree. A record
+    is also the fold its parent needs (unmatched is its partner-free state), and the
+    masks act in each close step. An infeasible record has count 0 and a negative size."""
+    n = len(parent)
     none = -n - 1  # the size of an infeasible state: every sum holding it stays negative
     # until v is closed, best/excluded/unmatched hold its folds over its children with v
     # included and one child its partner, v excluded, and v included with no partner
@@ -105,7 +107,7 @@ def _down(forest: Forest, include_bits: int, exclude_bits: int):
                 m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
             dbs[p], dbw[p], dxs[p], dxw[p] = m_s, m_w, dxs[p] + b_s, dxw[p] * b_w
             dus[p], duw[p] = dus[p] + x_s, duw[p] * x_w
-    return parent, (dbs, dbw, dxs, dxw, dus, duw)
+    return dbs, dbw, dxs, dxw, dus, duw
 
 
 def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
@@ -118,10 +120,9 @@ def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
     of v over its component. The masks act as in ``_down``.
     """
     n = forest.n
-    order = forest.bfs[0]
+    order, parent = forest.bfs
     none = -n - 1
-    parent, down = _down(forest, include_bits, exclude_bits)
-    dbs, dbw, dxs, dxw, dus, duw = down
+    dbs, dbw, dxs, dxw, dus, duw = down = _down(order, parent, include_bits, exclude_bits)
     # a root keeps the empty fold as its record from the parent side
     ubs, ubw, uxs, uxw, uus, uuw = [0] * n, [1] * n, [0] * n, [1] * n, [none] * n, [0] * n
     wbs, wbw, wxs, wxw = [0] * n, [0] * n, [0] * n, [0] * n

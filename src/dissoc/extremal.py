@@ -3,10 +3,10 @@
 The closed-form record value depends on n mod 3, and the record holders
 are spider-like trees S*(...) built by gluing one designated leaf of each
 leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
-walks every isomorphism class of the given order and compares the
-observed record and record holders against the prediction, coding only
-the trees whose count reaches the formula (a record below it takes a
-second pass with the record as the floor).
+counts the level sequence of every isomorphism class of the given order
+and compares the observed record and holders against the prediction,
+decoding and coding only the trees whose count reaches the formula (a
+record below it takes a second pass with the record as the floor).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .dissociation import alpha3_count_dp
 from .errors import GuardExceeded
 from .forest import CanonicalCode, Forest, canonical_code
-from .treegen import map_free_trees
+from .treegen import LevelSequence, forest_from_level_sequence, level_sequences, map_free_trees
 
 SWEEP_LIMIT = 18
 
@@ -128,9 +128,9 @@ class ExtremalReport:
     note: str = ""
 
 
-def _count_and_code(tree: Forest, floor: int) -> tuple[int, bytes | None]:
-    count = alpha3_count_dp(tree).count
-    return count, canonical_code(tree).code if count >= floor else None
+def _count_and_code(floor: int, ls: LevelSequence) -> tuple[int, bytes | None]:
+    count = alpha3_count_dp(ls).count
+    return count, canonical_code(forest_from_level_sequence(ls)).code if count >= floor else None
 
 
 def _family_note(n: int) -> str:
@@ -153,7 +153,8 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
     floor = formula
     while True:
         best, argmax, scanned = -1, [], 0
-        for count, code in map_free_trees(n, partial(_count_and_code, floor=floor), jobs, 64):
+        count_and_code = partial(_count_and_code, floor)
+        for count, code in map_free_trees(level_sequences(n), count_and_code, jobs, 64):
             scanned += 1
             if count > best:
                 best, argmax = count, [code]

@@ -6,11 +6,12 @@ order: a rooted tree is written as its DFS preorder levels (root at 1),
 the successor trims the last deep vertex and re-expands, and a
 centroid-canonicality filter keeps exactly one rooted representative of
 every free tree (the first root subtree must not be taller, larger, or
-lexicographically later than the rest of the tree). Each sequence is
-decoded straight into a ``Forest``, without ``Forest.from_edges``.
-
-``map_free_trees`` is the one driver for sweeps over every free tree of
-an order, in order, in this process or in a pool of worker processes.
+lexicographically later than the rest of the tree). A sequence is a
+rooted parent array (``LevelSequence.parents``), which the counting DP
+reads as it is and ``forest_from_level_sequence`` decodes, without
+``Forest.from_edges``. ``map_free_trees`` is the one driver for sweeps
+over the trees or level sequences of an order, in this process or in a
+pool of worker processes.
 
 Labeled trees come from Pruefer sequences and serve as an independent
 oracle: decoding every sequence of length n-2 and deduplicating by
@@ -25,13 +26,14 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import GuardExceeded
-from .forest import Forest
+from .forest import PARENT_NONE, Forest
 
 PRUEFER_LIMIT = 9
 
+T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -48,21 +50,27 @@ class LevelSequence:
             if not 2 <= self.seq[i] <= self.seq[i - 1] + 1:
                 raise ValueError(f"invalid level {self.seq[i]} at position {i}")
 
+    def parents(self) -> list[int]:
+        """Parent of vertex i, the i-th preorder visit: the last vertex seen one
+        level up, ``PARENT_NONE`` at the root; every parent precedes its children."""
+        last = [PARENT_NONE] * (len(self.seq) + 1)  # last vertex seen at each level
+        parent = []
+        for i, level in enumerate(self.seq):
+            parent.append(last[level - 1])
+            last[level] = i
+        return parent
+
 
 def forest_from_level_sequence(ls: LevelSequence) -> Forest:
-    """Decode preorder levels into a tree; vertex i is the i-th preorder visit
-    and hangs from the last vertex seen one level up. A valid level sequence
-    is a tree, so ``Forest.from_edges`` is not needed; adjacency comes sorted."""
-    seq, n = ls.seq, len(ls.seq)
-    last = [0] * (n + 1)  # last vertex seen at each level; the root is at level 1
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        p = last[seq[i] - 1]
+    """The tree of ``ls.parents()``. A valid level sequence is a tree, so
+    ``Forest.from_edges`` is not needed; adjacency comes sorted."""
+    parent = ls.parents()
+    neighbors: list[list[int]] = [[] for _ in parent]
+    for i, p in enumerate(parent[1:], 1):
         neighbors[p].append(i)  # children come in preorder, after the parent
         neighbors[i].append(p)
-        last[seq[i]] = i
-    edges = sorted((neighbors[i][0], i) for i in range(1, n))
-    return Forest(n, tuple(edges), tuple(map(tuple, neighbors)))
+    edges = sorted((p, i) for i, p in enumerate(parent) if i)
+    return Forest(len(parent), tuple(edges), tuple(map(tuple, neighbors)))
 
 
 def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
@@ -145,20 +153,20 @@ def free_trees(n: int) -> Iterator[Forest]:
 
 
 def map_free_trees(
-    n: int, fn: Callable[[Forest], R], jobs: int = 1, chunksize: int = 1
+    items: Iterable[T], fn: Callable[[T], R], jobs: int = 1, chunksize: int = 1
 ) -> Iterator[R]:
-    """``fn`` of every free tree of order n, in generation order.
+    """``fn`` of every item, in order: ``free_trees(n)`` or ``level_sequences(n)``.
 
-    With ``jobs`` > 1 the trees go to a pool of worker processes, at most
+    With ``jobs`` > 1 the items go to a pool of worker processes, at most
     one per CPU; ``fn`` must then be picklable (a module-level function or
     a ``functools.partial`` of one). The results keep the order either way.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        yield from map(fn, free_trees(n))
+        yield from map(fn, items)
         return
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(fn, free_trees(n), chunksize=chunksize)
+        yield from pool.imap(fn, items, chunksize=chunksize)
 
 
 def free_tree_count(n: int) -> int:

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from dissoc import dissociation, structure
+from dissoc import dissociation, structure, treegen
 from dissoc.cli import main
 from dissoc.forest import canonical_code, parse_edge_list
 from dissoc.structure import critical_structure
@@ -91,10 +92,16 @@ def test_enumerate_prints_labels_in_vertex_order(capsys, tmp_path):
     assert (code, out) == (0, "c b\nc a\nb a\n")
 
 
-def test_gen_trees_count_only(capsys):
+def test_gen_trees_count_only(capsys, monkeypatch):
     code, out, _ = run(capsys, "gen-trees", "--n", "4", "--count-only")
     assert code == 0
     assert out == "2\n"
+
+    def no_decode(ls):
+        raise AssertionError("a tree was decoded only to be counted")
+
+    monkeypatch.setattr(treegen, "forest_from_level_sequence", no_decode)
+    assert run(capsys, "gen-trees", "--n", "12", "--count-only")[:2] == (0, "551\n")
 
 
 def test_gen_trees_blocks_parse_back(capsys):
@@ -116,6 +123,16 @@ def test_extremal_sweep_n7(capsys, tmp_path):
     assert len(doc["extremal_codes"]) == 2
     assert doc["trees_scanned"] == 11
     assert csv_path.read_text().strip().splitlines()[1] == "7,11,4,4,True,0"
+
+
+GOLDEN_SWEEP = json.loads((Path(__file__).parent / "golden_extremal_sweep.json").read_text())
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SWEEP, key=int))
+def test_extremal_sweep_stdout_matches_golden(capsys, n):
+    # golden_extremal_sweep.json holds the stdout and exit code of `extremal --n N --sweep`
+    want = GOLDEN_SWEEP[n]
+    assert run(capsys, "extremal", "--n", n, "--sweep")[:2] == (want["exit_code"], want["stdout"])
 
 
 def test_extremal_family_only(capsys):

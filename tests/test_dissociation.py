@@ -16,10 +16,23 @@ from dissoc.dissociation import (
 )
 from dissoc.errors import EnumerationCapExceeded, GuardExceeded
 from dissoc.extremal import lt8, star_construction
-from dissoc.forest import Forest, VertexSet
-from dissoc.treegen import free_trees, pruefer_decode, random_labeled_tree
+from dissoc.forest import PARENT_NONE, Forest, VertexSet
+from dissoc.treegen import (
+    forest_from_level_sequence,
+    free_trees,
+    level_sequences,
+    pruefer_decode,
+    random_labeled_tree,
+)
 
-from util import dp_forest, path, random_forest_with_isolated_vertices, star
+from util import (
+    dp_forest,
+    every_level_sequence,
+    forest_from_level_sequence_oracle,
+    path,
+    random_forest_with_isolated_vertices,
+    star,
+)
 
 
 def members(sets):
@@ -69,6 +82,22 @@ def test_dp_equals_brute_exhaustively():
             alpha, sets = brute_force_mds(t)
             r = alpha3_count_dp(t)
             assert (r.alpha3, r.count) == (alpha, len(sets)), t.edges
+
+
+def test_level_sequence_count_matches_decoded_tree_and_oracle():
+    # the count reads the parent array of the sequence; the oracle tree comes
+    # from an independent stack decode through Forest.from_edges
+    sequences = [ls for n in range(1, 13) for ls in level_sequences(n)]
+    sequences += [ls for n in range(1, 10) for ls in every_level_sequence(n)]
+    assert len(sequences) == 987 + 2056
+    for ls in sequences:
+        tree = forest_from_level_sequence_oracle(ls)
+        parent = ls.parents()
+        assert all(p < v for v, p in enumerate(parent)), ls.seq  # parents come first
+        assert sorted((p, v) for v, p in enumerate(parent) if p != PARENT_NONE) == list(tree.edges)
+        r = alpha3_count_dp(ls)
+        assert r == alpha3_count_dp(forest_from_level_sequence(ls)), ls.seq
+        assert (r.alpha3, r.count) == dp_forest(tree), ls.seq
 
 
 def test_dp_on_forests_multiplies_component_counts():

@@ -115,20 +115,22 @@ def test_exhaustive_check_guards():
 
 
 def test_sweep_agrees_across_job_counts():
-    a = exhaustive_extremal_check(8, jobs=1)
-    b = exhaustive_extremal_check(8, jobs=2)
+    # 235 trees, more than one chunk of 64, so the pool splits them between workers
+    a = exhaustive_extremal_check(11, jobs=1)
+    b = exhaustive_extremal_check(11, jobs=2)
     assert a == b
 
 
 def test_sweep_builds_each_tree_once(monkeypatch):
-    # the sweep decodes each tree once, validates none and codes only the
-    # trees whose count reaches the formula
+    # the sweep counts every level sequence without decoding it, validates no
+    # tree, and decodes and codes only the trees whose count reaches the formula
     build = Forest.from_edges.__func__
     decode = treegen.forest_from_level_sequence
     code = extremal.canonical_code
-    validated = 0
-    swept: dict[int, Forest] = {}  # holding each tree keeps its id unique
-    coded_swept = 0
+    count = extremal.alpha3_count_dp
+    validated = counted = 0
+    decoded: dict[int, Forest] = {}  # holding each tree keeps its id unique
+    coded_decoded = 0
 
     def counting_build(cls, *args, **kwargs):
         nonlocal validated
@@ -137,26 +139,32 @@ def test_sweep_builds_each_tree_once(monkeypatch):
 
     def counting_decode(ls):
         tree = decode(ls)
-        swept[id(tree)] = tree
+        decoded[id(tree)] = tree
         return tree
 
     def counting_code(tree):
-        nonlocal coded_swept
-        coded_swept += id(tree) in swept
+        nonlocal coded_decoded
+        coded_decoded += id(tree) in decoded
         return code(tree)
+
+    def counting_count(tree):
+        nonlocal counted
+        counted += 1
+        return count(tree)
 
     formula = max_mds_formula(9)
     holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(9))
     monkeypatch.setattr(Forest, "from_edges", classmethod(counting_build))
     generate_extremal_family(9)
     family_builds, validated = validated, 0
-    monkeypatch.setattr(treegen, "forest_from_level_sequence", counting_decode)
+    for module in (treegen, extremal):
+        monkeypatch.setattr(module, "forest_from_level_sequence", counting_decode)
     monkeypatch.setattr(extremal, "canonical_code", counting_code)
+    monkeypatch.setattr(extremal, "alpha3_count_dp", counting_count)
     report = exhaustive_extremal_check(9)
-    assert report.trees_scanned == 47
-    assert len(swept) == report.trees_scanned
+    assert report.trees_scanned == counted == 47
     assert validated == family_builds
-    assert coded_swept == holders == len(report.extremal_codes) == 1
+    assert len(decoded) == coded_decoded == holders == len(report.extremal_codes) == 1
 
 
 @pytest.mark.parametrize("n", [8, 9])

@@ -16,7 +16,7 @@ from dissoc.treegen import (
     random_labeled_tree,
 )
 
-from util import forest_from_level_sequence_oracle
+from util import every_level_sequence, forest_from_level_sequence_oracle
 
 # number of unlabeled trees of order 1, 2, 3, ...
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
@@ -37,17 +37,6 @@ def test_level_sequence_validation():
 def test_decode_level_sequence():
     t = forest_from_level_sequence(LevelSequence((1, 2, 3, 2)))
     assert t.edges == ((0, 1), (0, 3), (1, 2))
-
-
-def every_level_sequence(n):
-    """Every valid level sequence of order n, canonical for its free tree or not."""
-    stack = [(1,)]
-    while stack:
-        seq = stack.pop()
-        if len(seq) == n:
-            yield LevelSequence(seq)
-            continue
-        stack.extend(seq + (lvl,) for lvl in range(2, seq[-1] + 2))
 
 
 def test_direct_decode_matches_validating_oracle():

@@ -1,5 +1,5 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
-a level-sequence decoder through the validating constructor, a second counting DP with its
+every valid level sequence of an order, a level-sequence decoder through the validating constructor, a second counting DP with its
 own state layout, per-query oracles for the vertex classes and the critical edges built on
 it, and definition-level k-path searches on arbitrary graphs."""
 
@@ -67,6 +67,17 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
         return False
 
     return extend(0)
+
+
+def every_level_sequence(n: int):
+    """Every valid level sequence of order n, canonical for its free tree or not."""
+    stack = [(1,)]
+    while stack:
+        seq = stack.pop()
+        if len(seq) == n:
+            yield LevelSequence(seq)
+            continue
+        stack.extend(seq + (lvl,) for lvl in range(2, seq[-1] + 2))
 
 
 def forest_from_level_sequence_oracle(ls: LevelSequence) -> Forest:
