@@ -34,9 +34,6 @@ from .kpath import (
     PathFamily,
     alpha_k_brute,
     greedy_cover_matching,
-    longest_path_order,
-    mu_k_brute,
-    tau_k_brute,
     verify_certificate,
 )
 from .structure import (

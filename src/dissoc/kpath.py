@@ -11,6 +11,11 @@ whose subtree still contains a k-path, covers u, extracts one k-path
 through u into the matching, and deletes u's subtree. Ties on depth
 break to the smallest vertex index and the extracted path is the
 lexicographically smallest candidate, so runs are reproducible.
+
+``mu3_edge_deletions`` gives mu3 after deleting each edge from one
+rerooting pass of a maximum 3-path packing DP, in O(n) (the tree case of
+the k-path cover algorithm of Bresar, Kardos, Katrenic and Semanisin,
+2011). It imports nothing from the dissociation engine.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GuardExceeded, TheoremViolation
-from .forest import Forest, VertexSet
+from .forest import PARENT_NONE, Forest, VertexSet
 
 ALPHA_BRUTE_LIMIT = 26
-MU_BRUTE_LIMIT = 18
-TAU_BRUTE_LIMIT = 26
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,6 @@ def _longest_path_in_mask(forest: Forest, mask: int) -> int:
     return best
 
 
-def longest_path_order(forest: Forest) -> int:
-    """Maximum number of vertices on any path; two-pass search per component."""
-    if forest.n == 0:
-        return 0
-    return _longest_path_in_mask(forest, (1 << forest.n) - 1)
-
-
 def alpha_k_brute(forest: Forest, k: int, guard: int = ALPHA_BRUTE_LIMIT) -> int:
     """Exact alpha_k by descending-size subset search."""
     if k < 2:
@@ -105,76 +101,6 @@ def alpha_k_brute(forest: Forest, k: int, guard: int = ALPHA_BRUTE_LIMIT) -> int
             elif _longest_path_in_mask(forest, bits) < k:
                 return size
     raise AssertionError("unreachable: the empty set always qualifies")
-
-
-def _tree_k_path_sets(forest: Forest, k: int) -> list[int]:
-    """Vertex sets (bitmasks) of all k-paths; on a forest the endpoints fix the path."""
-    out = []
-    for u in range(forest.n):
-        # BFS with parents; each vertex at distance k-1 beyond u closes one path
-        parent = {u: -1}
-        dist = {u: 0}
-        queue = [u]
-        for v in queue:
-            if dist[v] >= k - 1:
-                continue
-            for w in forest.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-        for v, d in dist.items():
-            if d == k - 1 and v > u:
-                mask = 0
-                x = v
-                while x != -1:
-                    mask |= 1 << x
-                    x = parent[x]
-                out.append(mask)
-    return out
-
-
-def mu_k_brute(forest: Forest, k: int, guard: int = MU_BRUTE_LIMIT) -> int:
-    """Exact mu_k by backtracking over vertex-disjoint k-path packings."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    n = forest.n
-    if n > guard:
-        raise GuardExceeded(f"mu_k brute force limited to n <= {guard}, got {n}")
-    paths = _tree_k_path_sets(forest, k)
-    best = 0
-
-    def rec(i: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if size + (n - used.bit_count()) // k <= best:
-            return
-        for j in range(i, len(paths)):
-            p = paths[j]
-            if used & p == 0:
-                rec(j + 1, used | p, size + 1)
-
-    rec(0, 0, 0)
-    return best
-
-
-def tau_k_brute(forest: Forest, k: int, guard: int = TAU_BRUTE_LIMIT) -> int:
-    """Exact tau_k: smallest vertex set whose removal kills every k-path."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    n = forest.n
-    if n > guard:
-        raise GuardExceeded(f"tau_k brute force limited to n <= {guard}, got {n}")
-    full = (1 << n) - 1
-    for size in range(n + 1):
-        for cut in combinations(range(n), size):
-            bits = full
-            for v in cut:
-                bits &= ~(1 << v)
-            if _longest_path_in_mask(forest, bits) < k:
-                return size
-    raise AssertionError("unreachable: removing everything kills all paths")
 
 
 def _root_alive(forest: Forest, root: int, alive: set[int]):
@@ -288,6 +214,80 @@ def greedy_cover_matching(forest: Forest, k: int) -> CoverMatchingCertificate:
         matching=PathFamily(k=k, paths=tuple(paths)),
         k=k,
     )
+
+
+def mu3_edge_deletions(forest: Forest) -> tuple[int, tuple[int, ...]]:
+    """mu3 of the forest, and mu3 after deleting each edge of ``forest.edges``
+    in turn, from one rerooting pass of a maximum 3-path packing DP in O(n).
+
+    Records of v over a rooted subtree: free (v on no path), pending (v and
+    one free child wait for v's parent to close their path, which is not
+    counted yet) and best. best is the largest of free, the middle case
+    c1-v-c2 and the end case v-c-gc with c pending, the last two +1. A child
+    folds in as best plus its free and pending deltas from best, so a vertex
+    needs the sum of its neighbours' best, the top two free deltas and the
+    top pending delta. The up pass keeps the top three free and the top two
+    pending deltas over all neighbours, so leaving one child out is O(1) and
+    each vertex costs O(deg).
+    """
+    n = forest.n
+    order, parent = forest.bfs
+    adj = forest.adjacency
+    none = -n - 2  # an absent record's delta: below every real one, which is >= -n
+    best, free_d, pend_d = [0] * n, [0] * n, [0] * n
+    for v in reversed(order):
+        s, f1, f2, e1 = 0, none, none, none
+        for c in adj[v]:
+            if c == parent[v]:
+                continue
+            s += best[c]
+            d = free_d[c]
+            if d > f1:
+                f1, f2 = d, f1
+            elif d > f2:
+                f2 = d
+            if pend_d[c] > e1:
+                e1 = pend_d[c]
+        b = max(s, s + f1 + f2 + 1, s + e1 + 1)
+        best[v], free_d[v], pend_d[v] = b, s - b, s + f1 - b
+    # the same records of parent(c) over the component with c's subtree cut off
+    up_best, up_free, up_pend = [0] * n, [0] * n, [none] * n
+    cut = [0] * n  # mu3 of the forest with the edge above c deleted
+    base = sum(best[r] for r in order if parent[r] == PARENT_NONE)
+    rest = 0  # mu3 of the other components
+    for p in order:
+        q = parent[p]
+        if q == PARENT_NONE:  # p roots a new component and has no parent side
+            rest = base - best[p]
+            s, f1, f2, f3, i1, i2, e1, e2, j1 = 0, none, none, none, -1, -1, none, none, -1
+        else:
+            s, f1, f2, f3, i1, i2 = up_best[p], up_free[p], none, none, q, -1
+            e1, e2, j1 = up_pend[p], none, q
+        for c in adj[p]:
+            if c == q:
+                continue
+            s += best[c]
+            d = free_d[c]
+            if d > f1:
+                f1, f2, f3, i1, i2 = d, f1, f2, c, i1
+            elif d > f2:
+                f2, f3, i2 = d, f2, c
+            elif d > f3:
+                f3 = d
+            d = pend_d[c]
+            if d > e1:
+                e1, e2, j1 = d, e1, c
+            elif d > e2:
+                e2 = d
+        for c in adj[p]:
+            if c == q:
+                continue
+            sc = s - best[c]
+            g1, g2 = (f2, f3) if c == i1 else (f1, f3) if c == i2 else (f1, f2)
+            b = max(sc, sc + g1 + g2 + 1, sc + (e2 if c == j1 else e1) + 1)
+            up_best[c], up_free[c], up_pend[c] = b, sc - b, sc + g1 - b
+            cut[c] = rest + best[c] + b
+    return base, tuple(cut[v if parent[v] == u else u] for u, v in forest.edges)
 
 
 def verify_certificate(forest: Forest, cert: CoverMatchingCertificate) -> list[str]:

@@ -14,10 +14,12 @@ the counting DP, which gives the records of every vertex over its
 component and of both sides of every edge: the dissociation number and
 the number of maximum sets, the vertex classes, the critical edges and
 their grouping. ``classify_vertices`` and ``critical_edges_alpha3`` are
-reads of that structure. ``verify_structure_theorems`` re-checks the
-theorems plus the branching bound on the number of maximum sets against
-a given structure and reports each outcome separately; a failed check
-carries a witness.
+reads of that structure. ``critical_edges_mu3`` reads the rerooted 3-path
+packing pass of ``kpath``, which shares no code with the counting DP, so
+equal edge sets are two independent computations agreeing.
+``verify_structure_theorems`` re-checks the theorems plus the branching
+bound on the number of maximum sets against a given structure and
+reports each outcome separately; a failed check carries a witness.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .dissociation import _classes, _rerooted, enumerate_mds, is_dissociation_set
 from .errors import TheoremViolation
 from .forest import PARENT_NONE, Forest, VertexSet, root_at
-from .kpath import greedy_cover_matching
+from .kpath import mu3_edge_deletions
 
 ENUMERATION_CAP = 1_000_000
 
@@ -149,16 +151,13 @@ def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
     return critical_structure(forest).critical_edges
 
 
-def _mu3(forest: Forest) -> int:
-    return len(greedy_cover_matching(forest, 3).matching.paths)
-
-
 def critical_edges_mu3(forest: Forest) -> tuple[Edge, ...]:
-    """Edges whose deletion lowers the 3-matching number (by exactly one)."""
-    base = _mu3(forest)
+    """Edges whose deletion lowers the 3-matching number (checked to be by
+    exactly one), read from ``mu3_edge_deletions``: one rerooting pass of a
+    3-path packing DP that shares no code with the dissociation engine."""
+    base, cut = mu3_edge_deletions(forest)
     out = []
-    for e in forest.edges:
-        val = _mu3(forest.without_edge(*e))
+    for e, val in zip(forest.edges, cut):
         if val == base:
             continue
         if val != base - 1:

@@ -15,8 +15,6 @@ from dissoc.extremal import exhaustive_extremal_check, lt8, max_mds_formula
 from dissoc.kpath import (
     alpha_k_brute,
     greedy_cover_matching,
-    mu_k_brute,
-    tau_k_brute,
     verify_certificate,
 )
 from dissoc.structure import (
@@ -27,7 +25,7 @@ from dissoc.structure import (
 )
 from dissoc.treegen import free_trees, random_labeled_tree
 
-from util import path
+from util import mu_k_brute, path, tau_k_brute
 
 
 def _report(name: str, ok: bool, detail: str = ""):

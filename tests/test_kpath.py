@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from dissoc.errors import GuardExceeded
+from dissoc import structure
+from dissoc.errors import GuardExceeded, TheoremViolation
 from dissoc.extremal import lt8
 from dissoc.forest import Forest, VertexSet
 from dissoc.kpath import (
@@ -8,14 +11,26 @@ from dissoc.kpath import (
     PathFamily,
     alpha_k_brute,
     greedy_cover_matching,
-    longest_path_order,
-    mu_k_brute,
-    tau_k_brute,
+    mu3_edge_deletions,
     verify_certificate,
 )
-from dissoc.treegen import free_trees
+from dissoc.structure import critical_edges_alpha3, critical_edges_mu3
+from dissoc.treegen import free_trees, random_labeled_tree
 
-from util import alpha_k_raw, mu_k_raw, path, star
+from util import (
+    alpha_k_raw,
+    critical_edges_mu3_oracle,
+    deadline,
+    longest_path_order,
+    mu_k_brute,
+    mu_k_raw,
+    path,
+    random_forest_with_isolated_vertices,
+    star,
+    tau_k_brute,
+)
+
+LARGE = 10**5
 
 
 def test_longest_path_order_examples():
@@ -134,3 +149,65 @@ def test_alpha_plus_mu_can_fall_short_off_forests():
         n = len(adj)
         for k in (2, 3):
             assert alpha_k_raw(adj, k) + mu_k_raw(adj, k) <= n
+
+
+def _assert_mu3_pass_matches_oracle(forest):
+    base, _ = mu3_edge_deletions(forest)
+    assert base == len(greedy_cover_matching(forest, 3).matching.paths), forest.edges
+    assert critical_edges_mu3(forest) == critical_edges_mu3_oracle(forest), forest.edges
+
+
+def test_mu3_pass_matches_per_edge_oracle_on_every_small_tree():
+    checked = 0
+    for n in range(1, 12):
+        for t in free_trees(n):
+            _assert_mu3_pass_matches_oracle(t)
+            checked += 1
+    assert checked == 436
+
+
+def test_mu3_pass_matches_per_edge_oracle_on_forests_with_isolated_vertices():
+    rng = random.Random(17)
+    for _ in range(200):
+        _assert_mu3_pass_matches_oracle(random_forest_with_isolated_vertices(rng, 30))
+
+
+def test_mu3_pass_matches_per_edge_oracle_on_random_trees():
+    rng = random.Random(2011)
+    for _ in range(10):
+        _assert_mu3_pass_matches_oracle(random_labeled_tree(80, rng))
+
+
+@pytest.mark.parametrize("cut", [-2, 1])
+def test_mu3_move_other_than_zero_or_minus_one_raises(monkeypatch, cut):
+    monkeypatch.setattr(structure, "mu3_edge_deletions", lambda f: (1, (1, 1 + cut)))
+    with pytest.raises(TheoremViolation, match=f"moved mu3 from 1 to {1 + cut}"):
+        critical_edges_mu3(path(3))
+
+
+def test_mu3_pass_on_a_long_path():
+    # deleting edge (i-1, i) leaves paths of i and n-i vertices
+    n = LARGE
+    tree = path(n)
+    with deadline(20):
+        base, cut = mu3_edge_deletions(tree)
+        crit = critical_edges_mu3(tree)
+    assert base == n // 3
+    assert cut == tuple(i // 3 + (n - i) // 3 for i in range(1, n))
+    assert crit == tuple((i - 1, i) for i in range(1, n) if i // 3 + (n - i) // 3 < n // 3)
+
+
+def test_mu3_pass_on_a_large_star():
+    # one 3-path at most, and any two leaves left keep it
+    tree = star(LARGE)
+    with deadline(20):
+        base, cut = mu3_edge_deletions(tree)
+        crit = critical_edges_mu3(tree)
+    assert base == 1 and set(cut) == {1} and crit == ()
+
+
+def test_mu3_pass_on_a_large_random_tree():
+    tree = random_labeled_tree(LARGE, random.Random(7))
+    with deadline(20):
+        crit = critical_edges_mu3(tree)
+    assert crit == critical_edges_alpha3(tree)

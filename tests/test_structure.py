@@ -7,7 +7,6 @@ import pytest
 from dissoc.dissociation import alpha3_count_dp, brute_force_mds, enumerate_mds
 from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, canonical_code
-from dissoc.kpath import _tree_k_path_sets
 from dissoc.structure import (
     CheckResult,
     build_canonical_mds,
@@ -26,6 +25,7 @@ from util import (
     path,
     random_forest_with_isolated_vertices,
     star,
+    tree_k_path_sets,
 )
 
 
@@ -134,7 +134,7 @@ def test_deleting_critical_edge_forces_both_endpoints():
 
 def _max_3_matchings(tree):
     """All maximum 3-matchings as tuples of vertex-set masks."""
-    paths = _tree_k_path_sets(tree, 3)
+    paths = tree_k_path_sets(tree, 3)
     best: list[tuple[int, ...]] = [()]
 
     def rec(i, used, chosen):

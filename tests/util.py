@@ -1,17 +1,24 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
 every valid level sequence of an order, a level-sequence decoder through the validating constructor, a second counting DP with its
 own state layout, per-query oracles for the vertex classes and the critical edges built on
-it, and definition-level k-path searches on arbitrary graphs."""
+it, the per-edge mu3 loop, exact k-path packing and cover searches on forests, and
+definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
-from dissoc.errors import TheoremViolation
+from dissoc.errors import GuardExceeded, TheoremViolation
 from dissoc.forest import PARENT_NONE, Forest, VertexSet, parse_edge_list
+from dissoc.kpath import _longest_path_in_mask, greedy_cover_matching
 from dissoc.structure import VertexClassification
 from dissoc.treegen import LevelSequence, random_labeled_tree
+
+MU_BRUTE_LIMIT = 18
+TAU_BRUTE_LIMIT = 26
 
 
 def path(n: int) -> Forest:
@@ -230,6 +237,119 @@ def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
                 )
         out.append(e)
     return tuple(out)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail with TimeoutError when the block runs longer than ``seconds`` (POSIX main thread),
+    so a quadratic loop at a large order fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _mu3(forest: Forest) -> int:
+    return len(greedy_cover_matching(forest, 3).matching.paths)
+
+
+def critical_edges_mu3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
+    """Edges whose deletion lowers mu3 (by exactly one), from one rebuilt forest
+    and one greedy run per edge."""
+    base = _mu3(forest)
+    out = []
+    for e in forest.edges:
+        val = _mu3(forest.without_edge(*e))
+        if val == base:
+            continue
+        if val != base - 1:
+            raise TheoremViolation(f"deleting edge {e} moved mu3 from {base} to {val}")
+        out.append(e)
+    return tuple(out)
+
+
+def longest_path_order(forest: Forest) -> int:
+    """Maximum number of vertices on any path; two-pass search per component."""
+    if forest.n == 0:
+        return 0
+    return _longest_path_in_mask(forest, (1 << forest.n) - 1)
+
+
+def tree_k_path_sets(forest: Forest, k: int) -> list[int]:
+    """Vertex sets (bitmasks) of all k-paths; on a forest the endpoints fix the path."""
+    out = []
+    for u in range(forest.n):
+        # BFS with parents; each vertex at distance k-1 beyond u closes one path
+        parent = {u: -1}
+        dist = {u: 0}
+        queue = [u]
+        for v in queue:
+            if dist[v] >= k - 1:
+                continue
+            for w in forest.adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+        for v, d in dist.items():
+            if d == k - 1 and v > u:
+                mask = 0
+                x = v
+                while x != -1:
+                    mask |= 1 << x
+                    x = parent[x]
+                out.append(mask)
+    return out
+
+
+def mu_k_brute(forest: Forest, k: int, guard: int = MU_BRUTE_LIMIT) -> int:
+    """Exact mu_k by backtracking over vertex-disjoint k-path packings."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    n = forest.n
+    if n > guard:
+        raise GuardExceeded(f"mu_k brute force limited to n <= {guard}, got {n}")
+    paths = tree_k_path_sets(forest, k)
+    best = 0
+
+    def rec(i: int, used: int, size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        if size + (n - used.bit_count()) // k <= best:
+            return
+        for j in range(i, len(paths)):
+            p = paths[j]
+            if used & p == 0:
+                rec(j + 1, used | p, size + 1)
+
+    rec(0, 0, 0)
+    return best
+
+
+def tau_k_brute(forest: Forest, k: int, guard: int = TAU_BRUTE_LIMIT) -> int:
+    """Exact tau_k: smallest vertex set whose removal kills every k-path."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    n = forest.n
+    if n > guard:
+        raise GuardExceeded(f"tau_k brute force limited to n <= {guard}, got {n}")
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for cut in combinations(range(n), size):
+            bits = full
+            for v in cut:
+                bits &= ~(1 << v)
+            if _longest_path_in_mask(forest, bits) < k:
+                return size
+    raise AssertionError("unreachable: removing everything kills all paths")
 
 
 # definition-level helpers on arbitrary adjacency lists, used to probe the
