@@ -227,7 +227,11 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 def _cmd_extremal(args) -> int:
     if args.sweep:
+        started = time.perf_counter()
         report = exhaustive_extremal_check(args.n, jobs=args.jobs)
+        seconds = time.perf_counter() - started
+        print(f"n={report.n} trees={report.trees_scanned} done in {seconds:.2f}s "
+              f"trees_per_s={report.trees_scanned / seconds:.0f}", file=sys.stderr)
         doc = {
             "n": report.n,
             "formula_value": str(report.formula_value),

@@ -6,14 +6,15 @@ rooted component are best, excluded, and included with no partner yet
 inside its subtree, each a (best size, number of optimum sets) pair. A
 vertex included together with an included child consumes that child's
 partner-free record, and at most one such child is allowed. Include and
-exclude bit masks force vertices in or out. ``_down`` folds the subtrees
-bottom-up over a rooted parent array, so a sweep counts a level sequence
-without decoding it; counts and forced optima add the sizes and multiply
-the counts of the component roots. ``_rerooted`` adds an up pass that
-gives the records of every vertex over its component and of both sides of
-every edge in O(n); vertex classes (``_classes``), critical edges and the
-enumeration of all maximum sets read its tables. ``brute_force_mds``,
-the oracle, scans every subset.
+exclude bit masks force vertices in or out. Two folds close the records
+bottom-up with one step: ``_down`` over a parent array into the flat lists
+the masks and the up pass need, and ``alpha3_count_steps`` over level
+sequences on a stack that keeps every prefix, so a sweep pays only for
+the suffix each sequence changed. ``_rerooted`` adds an up pass giving
+the records of every vertex over its component and of both sides of every
+edge in O(n); vertex classes (``_classes``), critical edges and the
+enumeration of all maximum sets read its tables. ``brute_force_mds``, the
+oracle, scans every subset.
 
 Counts are plain Python integers, so they are exact at any magnitude.
 """
@@ -21,7 +22,7 @@ Counts are plain Python integers, so they are exact at any magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceeded, GuardExceeded
 from .forest import PARENT_NONE, Forest, VertexSet
@@ -50,8 +51,39 @@ def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
 
 def alpha3_count_dp(tree: Forest | LevelSequence) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
-    rooted = tree.bfs if isinstance(tree, Forest) else (range(len(tree.seq)), tree.parents())
-    return DissociationResult(*_optimum(*rooted))
+    if isinstance(tree, LevelSequence):
+        return DissociationResult(*next(alpha3_count_steps([(0, tree.seq)])))
+    return DissociationResult(*_optimum(*tree.bfs))
+
+
+def alpha3_count_steps(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[int, int]]:
+    """Alpha3 and count of each level sequence (all of one order) of ``steps`` ``(first,
+    seq)``, resuming from the stack of ``_down`` records kept after vertex ``first - 1``."""
+    base = (0, 0, 0, 1, 0, 1, None)  # the root's parent: its excluded fold ends as the root's best
+    kept: list[tuple] = []  # kept[i]: the top after vertex i; a close copies, never mutates
+    for first, seq in steps:
+        none = -len(seq) - 1
+        del kept[first:]
+        i = len(kept)  # the first position to redo, 0 on a fresh stack
+        node, depth = (kept[-1], seq[i - 1]) if i else (base, 0)
+        for level in (*seq[i:], 1):  # the last level 1 closes the root into base
+            while depth >= level:  # the close step of ``_down``, without masks
+                b_s, b_w, x_s, x_w, u_s, u_w, parent = node
+                u_s, b_s = u_s + 1, b_s + 1
+                if u_s >= b_s:
+                    b_s, b_w = u_s, u_w if u_s > b_s else b_w + u_w
+                if x_s >= b_s:
+                    b_s, b_w = x_s, x_w if x_s > b_s else b_w + x_w
+                pb_s, pb_w, px_s, px_w, pu_s, pu_w, grand = parent
+                m_s, m_w, o_s, o_w = pb_s + x_s, pb_w * x_w, pu_s + u_s, pu_w * u_w
+                if o_s >= m_s:
+                    m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
+                node = m_s, m_w, px_s + b_s, px_w * b_w, pu_s + x_s, pu_w * x_w, grand
+                depth -= 1
+            node, depth = (none, 0, 0, 1, 0, 1, node), level
+            kept.append(node)
+        kept.pop()  # the node of the last level 1 is no vertex
+        yield node[6][2], node[6][3]
 
 
 def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int | None:

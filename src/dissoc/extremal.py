@@ -4,22 +4,23 @@ The closed-form record value depends on n mod 3, and the record holders
 are spider-like trees S*(...) built by gluing one designated leaf of each
 leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
 counts the level sequence of every isomorphism class of the given order
-and compares the observed record and holders against the prediction,
-decoding and coding only the trees whose count reaches the formula (a
-record below it takes a second pass with the record as the floor).
+and compares the observed record and holders against the prediction: each
+chunk of walk steps gets one prefix-sharing count, and only the trees whose
+count reaches the formula are decoded and coded (a record below it takes a
+second pass with the record as the floor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .dissociation import alpha3_count_dp
+from .dissociation import alpha3_count_steps
 from .errors import GuardExceeded
 from .forest import CanonicalCode, Forest, canonical_code
-from .treegen import LevelSequence, forest_from_level_sequence, level_sequences, map_free_trees
+from .treegen import LevelSequence, forest_from_level_sequence, map_free_trees, walk_chunks
 
 SWEEP_LIMIT = 18
 
@@ -128,9 +129,11 @@ class ExtremalReport:
     note: str = ""
 
 
-def _count_and_code(floor: int, ls: LevelSequence) -> tuple[int, bytes | None]:
-    count = alpha3_count_dp(ls).count
-    return count, canonical_code(forest_from_level_sequence(ls)).code if count >= floor else None
+def _count_and_code(floor: int, chunk) -> list[tuple[int, bytes | None]]:
+    """Count a chunk of walk steps with one fold; code the counts from ``floor`` up."""
+    return [(count, canonical_code(forest_from_level_sequence(LevelSequence(seq))).code
+             if count >= floor else None)
+            for (_, seq), (_, count) in zip(chunk, alpha3_count_steps(chunk))]
 
 
 def _family_note(n: int) -> str:
@@ -154,7 +157,8 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
     while True:
         best, argmax, scanned = -1, [], 0
         count_and_code = partial(_count_and_code, floor)
-        for count, code in map_free_trees(level_sequences(n), count_and_code, jobs, 64):
+        chunks = map_free_trees(walk_chunks(n, 64), count_and_code, jobs)  # 64 steps per unit
+        for count, code in chain.from_iterable(chunks):
             scanned += 1
             if count > best:
                 best, argmax = count, [code]

@@ -1,17 +1,17 @@
 """Exhaustive generation of free trees, plus labeled-tree oracles.
 
-Free trees come out one per isomorphism class via the classic
-successor walk over level sequences in lexicographically decreasing
-order: a rooted tree is written as its DFS preorder levels (root at 1),
-the successor trims the last deep vertex and re-expands, and a
-centroid-canonicality filter keeps exactly one rooted representative of
-every free tree (the first root subtree must not be taller, larger, or
-lexicographically later than the rest of the tree). A sequence is a
-rooted parent array (``LevelSequence.parents``), which the counting DP
-reads as it is and ``forest_from_level_sequence`` decodes, without
-``Forest.from_edges``. ``map_free_trees`` is the one driver for sweeps
-over the trees or level sequences of an order, in this process or in a
-pool of worker processes.
+Free trees come out one per isomorphism class via the successor walk over
+level sequences in lexicographically decreasing order (Beyer and
+Hedetniemi, 1980; Wright, Richmond, Odlyzko and McKay, 1986): a rooted
+tree is written as its DFS preorder levels (root at 1), the successor
+trims the last deep vertex and re-expands, and a centroid-canonicality
+filter keeps exactly one rooted representative of every free tree (the
+first root subtree must not be taller, larger, or lexicographically later
+than the rest of the tree). ``_walk`` rewrites one list in place and
+re-reads only the suffix each step wrote, in constant amortized time per
+tree. ``forest_from_level_sequence`` decodes a sequence's parent array
+(``LevelSequence.parents``). ``map_free_trees`` drives sweeps over trees,
+sequences or walk chunks, in this process or in a pool.
 
 Labeled trees come from Pruefer sequences and serve as an independent
 oracle: decoding every sequence of length n-2 and deduplicating by
@@ -25,7 +25,7 @@ import os
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import GuardExceeded
@@ -44,11 +44,7 @@ class LevelSequence:
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.seq or self.seq[0] != 1:
-            raise ValueError("level sequence must start at level 1")
-        for i in range(1, len(self.seq)):
-            if not 2 <= self.seq[i] <= self.seq[i - 1] + 1:
-                raise ValueError(f"invalid level {self.seq[i]} at position {i}")
+        _check_levels(self.seq, 0)
 
     def parents(self) -> list[int]:
         """Parent of vertex i, the i-th preorder visit: the last vertex seen one
@@ -73,77 +69,66 @@ def forest_from_level_sequence(ls: LevelSequence) -> Forest:
     return Forest(len(parent), tuple(edges), tuple(map(tuple, neighbors)))
 
 
-def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
-    """Successor rooted tree in decreasing lexicographic level order."""
-    if p is None:
-        p = len(seq) - 1
-        while seq[p] == 2:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    out = list(seq)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
+def _check_levels(seq, first: int) -> None:
+    """``LevelSequence``'s rule from index ``first`` on: root at 1, then 2..previous+1."""
+    if first == 0 and (not seq or seq[0] != 1):
+        raise ValueError("level sequence must start at level 1")
+    for i in range(first or 1, len(seq)):
+        if not 2 <= seq[i] <= seq[i - 1] + 1:
+            raise ValueError(f"invalid level {seq[i]} at position {i}")
 
 
-def _split(seq: list[int]) -> tuple[list[int], list[int]]:
-    """First root subtree (re-rooted at level 1) and the tree without it."""
-    m = len(seq)
-    seen_child = False
-    for i, lvl in enumerate(seq):
-        if lvl == 2:
-            if seen_child:
-                m = i
-                break
-            seen_child = True
-    left = [seq[i] - 1 for i in range(1, m)]
-    rest = [1] + seq[m:]
-    return left, rest
-
-
-def _next_free(candidate: list[int]) -> list[int]:
-    """Keep a centroid-canonical rooted tree, or jump to the next one."""
-    left, rest = _split(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
-        return candidate
-    p = len(left)
-    nxt = _next_rooted(candidate, p)
-    assert nxt is not None
-    if candidate[p] > 3:
-        new_left, _ = _split(nxt)
-        suffix = list(range(2, max(new_left) + 2))
-        nxt[len(nxt) - len(suffix):] = suffix
-    return nxt
+def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
+    """Steps ``(first, seq)`` of the walk of order n: one list, rewritten in place,
+    holds each canonical level sequence; ``first`` is the lowest index written
+    since the previous step, and only ``seq[first:]`` is checked again."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    seq = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    # m ends the first root subtree (the second level 2, or n); top[i]: peak of i's part to i
+    top, m, lo, first, grow = [1] * n, 0, 0, 0, False
+    while True:
+        if lo <= m:  # seq[2:lo] is unchanged and holds no level 2
+            m = min(max(lo, 2), n)
+            while m < n and seq[m] != 2:
+                m += 1
+        for i in range(lo or 1, n):
+            top[i] = seq[i] if i == m else max(top[i - 1], seq[i])
+        lo, low, high = n, top[m - 1] - 1, top[-1] if m < n else 1  # heights: first subtree, rest
+        if grow:  # finish a jump: end the rest with a path as tall as the first subtree
+            seq[n - low:] = range(2, low + 2)
+            lo, first, grow = n - low, min(first, n - low), False
+            continue
+        size, rest = m - 1, n - m + 1
+        if high > low or high == low and (size < rest or size == rest
+                                          and [v - 1 for v in seq[1:m]] <= [1] + seq[m:]):
+            _check_levels(seq, first)
+            yield first, seq
+            first = p = n - 1  # successor: trim the last vertex above level 2
+            while seq[p] == 2:
+                p -= 1
+            if p == 0:
+                return
+        else:  # not centroid-canonical: jump past every rooting with this first subtree
+            p, grow = m - 1, seq[m - 1] > 3
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        for i in range(p, n):  # re-expand from p by repeating the subtree at q
+            seq[i] = seq[i - p + q]
+        lo, first = p, min(first, p)
 
 
 def level_sequences(n: int) -> Iterator[LevelSequence]:
     """All centroid-canonical level sequences of order n, decreasing."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        yield LevelSequence((1,))
-        return
-    seq: list[int] | None = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
-    while seq is not None:
-        nxt = _next_free(seq)
-        if nxt is not seq:
-            # jumped over non-canonical rootings; validate again before yielding
-            seq = nxt
-            continue
+    for _, seq in _walk(n):
         yield LevelSequence(tuple(seq))
-        seq = _next_rooted(seq)
+
+
+def walk_chunks(n: int, size: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+    """The steps of the walk of order n, ``(first, levels)``, in lists of ``size``."""
+    steps = ((first, tuple(seq)) for first, seq in _walk(n))
+    return iter(lambda: list(islice(steps, size)), [])
 
 
 def free_trees(n: int) -> Iterator[Forest]:
@@ -155,7 +140,7 @@ def free_trees(n: int) -> Iterator[Forest]:
 def map_free_trees(
     items: Iterable[T], fn: Callable[[T], R], jobs: int = 1, chunksize: int = 1
 ) -> Iterator[R]:
-    """``fn`` of every item, in order: ``free_trees(n)`` or ``level_sequences(n)``.
+    """``fn`` of every item, in order: trees, level sequences or walk chunks of an order.
 
     With ``jobs`` > 1 the items go to a pool of worker processes, at most
     one per CPU; ``fn`` must then be picklable (a module-level function or
@@ -170,7 +155,7 @@ def map_free_trees(
 
 
 def free_tree_count(n: int) -> int:
-    return sum(1 for _ in level_sequences(n))
+    return sum(1 for _ in _walk(n))
 
 
 def pruefer_decode(seq: tuple[int, ...], n: int) -> Forest:

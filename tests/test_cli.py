@@ -115,8 +115,9 @@ def test_gen_trees_blocks_parse_back(capsys):
 
 def test_extremal_sweep_n7(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
-    code, out, _ = run(capsys, "extremal", "--n", "7", "--sweep", "--csv", str(csv_path))
+    code, out, err = run(capsys, "extremal", "--n", "7", "--sweep", "--csv", str(csv_path))
     assert code == 0
+    assert re.fullmatch(r"n=7 trees=11 done in \d+\.\d\ds trees_per_s=\d+\n", err), err
     doc = json.loads(out)
     assert doc["formula_value"] == "4"
     assert doc["match"] is True

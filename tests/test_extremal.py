@@ -122,13 +122,14 @@ def test_sweep_agrees_across_job_counts():
 
 
 def test_sweep_builds_each_tree_once(monkeypatch):
-    # the sweep counts every level sequence without decoding it, validates no
-    # tree, and decodes and codes only the trees whose count reaches the formula
+    # the sweep counts every level sequence once without decoding it, validates
+    # no tree, and decodes and codes only the trees whose count reaches the formula
     build = Forest.from_edges.__func__
     decode = treegen.forest_from_level_sequence
     code = extremal.canonical_code
-    count = extremal.alpha3_count_dp
-    validated = counted = 0
+    steps = extremal.alpha3_count_steps
+    validated = 0
+    counted: list[tuple[int, ...]] = []
     decoded: dict[int, Forest] = {}  # holding each tree keeps its id unique
     coded_decoded = 0
 
@@ -147,10 +148,10 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         coded_decoded += id(tree) in decoded
         return code(tree)
 
-    def counting_count(tree):
-        nonlocal counted
-        counted += 1
-        return count(tree)
+    def counting_steps(chunk):
+        for (_, seq), result in zip(chunk, steps(chunk)):
+            counted.append(tuple(seq))
+            yield result
 
     formula = max_mds_formula(9)
     holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(9))
@@ -160,9 +161,9 @@ def test_sweep_builds_each_tree_once(monkeypatch):
     for module in (treegen, extremal):
         monkeypatch.setattr(module, "forest_from_level_sequence", counting_decode)
     monkeypatch.setattr(extremal, "canonical_code", counting_code)
-    monkeypatch.setattr(extremal, "alpha3_count_dp", counting_count)
+    monkeypatch.setattr(extremal, "alpha3_count_steps", counting_steps)
     report = exhaustive_extremal_check(9)
-    assert report.trees_scanned == counted == 47
+    assert report.trees_scanned == len(counted) == len(set(counted)) == 47
     assert validated == family_builds
     assert len(decoded) == coded_decoded == holders == len(report.extremal_codes) == 1
 

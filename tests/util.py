@@ -1,5 +1,6 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
-every valid level sequence of an order, a level-sequence decoder through the validating constructor, a second counting DP with its
+every valid level sequence of an order, the allocating successor walk over the canonical
+ones, a level-sequence decoder through the validating constructor, a second counting DP with its
 own state layout, per-query oracles for the vertex classes and the critical edges built on
 it, the per-edge mu3 loop, exact k-path packing and cover searches on forests, and
 definition-level k-path searches on arbitrary graphs."""
@@ -85,6 +86,80 @@ def every_level_sequence(n: int):
             yield LevelSequence(seq)
             continue
         stack.extend(seq + (lvl,) for lvl in range(2, seq[-1] + 2))
+
+
+def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Successor rooted tree in decreasing lexicographic level order."""
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 2:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = list(seq)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split(seq: list[int]) -> tuple[list[int], list[int]]:
+    """First root subtree (re-rooted at level 1) and the tree without it."""
+    m = len(seq)
+    seen_child = False
+    for i, lvl in enumerate(seq):
+        if lvl == 2:
+            if seen_child:
+                m = i
+                break
+            seen_child = True
+    left = [seq[i] - 1 for i in range(1, m)]
+    rest = [1] + seq[m:]
+    return left, rest
+
+
+def _next_free(candidate: list[int]) -> list[int]:
+    """Keep a centroid-canonical rooted tree, or jump to the next one."""
+    left, rest = _split(candidate)
+    left_height = max(left)
+    rest_height = max(rest)
+    valid = rest_height >= left_height
+    if valid and rest_height == left_height:
+        if len(left) > len(rest):
+            valid = False
+        elif len(left) == len(rest) and left > rest:
+            valid = False
+    if valid:
+        return candidate
+    p = len(left)
+    nxt = _next_rooted(candidate, p)
+    assert nxt is not None
+    if candidate[p] > 3:
+        new_left, _ = _split(nxt)
+        suffix = list(range(2, max(new_left) + 2))
+        nxt[len(nxt) - len(suffix):] = suffix
+    return nxt
+
+
+def level_sequences_oracle(n: int):
+    """All centroid-canonical level sequences of order n, decreasing: the
+    successor walk that copies the list at every step and splits it afresh."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n == 1:
+        yield LevelSequence((1,))
+        return
+    seq: list[int] | None = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    while seq is not None:
+        nxt = _next_free(seq)
+        if nxt is not seq:
+            # jumped over non-canonical rootings; validate again before yielding
+            seq = nxt
+            continue
+        yield LevelSequence(tuple(seq))
+        seq = _next_rooted(seq)
 
 
 def forest_from_level_sequence_oracle(ls: LevelSequence) -> Forest:
