@@ -16,7 +16,6 @@ from .dissociation import (
     DissociationResult,
     alpha3_count_dp,
     alpha3_forced,
-    brute_force_mds,
     enumerate_mds,
     is_dissociation_set,
 )
@@ -40,7 +39,6 @@ from .structure import (
     CheckResult,
     CriticalStructure,
     VertexClassification,
-    build_canonical_mds,
     classify_vertices,
     critical_edges_alpha3,
     critical_edges_mu3,
@@ -51,7 +49,6 @@ from .treegen import (
     LevelSequence,
     forest_from_level_sequence,
     free_trees,
-    labeled_trees_pruefer,
     level_sequences,
     pruefer_decode,
     random_labeled_tree,

@@ -37,18 +37,15 @@ from .kpath import (
     greedy_cover_matching,
     verify_certificate,
 )
-from .structure import (
-    ENUMERATION_CAP,
-    critical_edges_mu3,
-    critical_structure,
-    verify_structure_theorems,
-)
+from .structure import critical_edges_mu3, critical_structure, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_VIOLATION = 3
+
+_UNUSED_CAP_HELP = "accepted and ignored: the structure checks count maximum sets, never list them"
 
 
 class _UsageError(Exception):
@@ -96,10 +93,10 @@ def _kke(forest: Forest, cert: CoverMatchingCertificate, alpha3: int) -> dict:
     return {"alpha_k": alpha, "mu_k": mu, "holds": alpha + mu == forest.n}
 
 
-def _analysis_document(forest: Forest, k_values: Sequence[int], cap: int) -> dict:
+def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
     struct = critical_structure(forest)
     cls = struct.classes
-    checks = verify_structure_theorems(forest, struct, enumeration_cap=cap)
+    checks = verify_structure_theorems(forest, struct)
     insulated = triples = None
     if struct.grouping_failure is None:
         insulated = [[forest.label(u), forest.label(v)] for u, v in struct.insulated_edges]
@@ -128,7 +125,7 @@ def _analysis_document(forest: Forest, k_values: Sequence[int], cap: int) -> dic
 
 def _cmd_analyze(args) -> int:
     forest = _load_forest(args.file)
-    doc = _analysis_document(forest, _parse_k_list(args.k), args.enumerate_cap)
+    doc = _analysis_document(forest, _parse_k_list(args.k))
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_VIOLATION if doc["violations"] else EXIT_OK
 
@@ -145,14 +142,12 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _check_tree(
-    tree: Forest, k_list: tuple[int, ...], cap: int
-) -> tuple[int, tuple[str, ...], int]:
+def _check_tree(tree: Forest, k_list: tuple[int, ...]) -> tuple[int, tuple[str, ...], int]:
     """Per-tree verification work unit; returns (mds count, failure notes, skipped checks)."""
     failures: list[str] = []
     skipped = 0
     struct = critical_structure(tree)
-    for name, cr in verify_structure_theorems(tree, struct, enumeration_cap=cap).items():
+    for name, cr in verify_structure_theorems(tree, struct).items():
         if cr.status == "fail":
             failures.append(f"{name}: {cr.witness}")
         skipped += cr.status == "skipped"
@@ -174,9 +169,7 @@ def _check_tree(
 def _cmd_verify(args) -> int:
     if args.n_max > SWEEP_LIMIT:
         raise GuardExceeded(f"verify limited to --n-max <= {SWEEP_LIMIT}, got {args.n_max}")
-    check = functools.partial(
-        _check_tree, k_list=tuple(_parse_k_list(args.k_list)), cap=args.enumerate_cap
-    )
+    check = functools.partial(_check_tree, k_list=tuple(_parse_k_list(args.k_list)))
     rows = []
     total_trees = 0
     total_failures = 0
@@ -283,7 +276,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full invariant report for one forest")
     p.add_argument("file")
     p.add_argument("--k", default="3", help="comma-separated k values (default 3)")
-    p.add_argument("--enumerate-cap", type=_at_least(0), default=ENUMERATION_CAP)
+    p.add_argument("--enumerate-cap", type=_at_least(0), help=_UNUSED_CAP_HELP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="stream all maximum dissociation sets")
@@ -296,7 +289,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-list", default="2,3,4,5")
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--csv", default=None)
-    p.add_argument("--enumerate-cap", type=_at_least(0), default=ENUMERATION_CAP)
+    p.add_argument("--enumerate-cap", type=_at_least(0), help=_UNUSED_CAP_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("extremal", help="record formula, family, and optional sweep")

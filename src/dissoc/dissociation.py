@@ -12,9 +12,10 @@ the masks and the up pass need, and ``alpha3_count_steps`` over level
 sequences on a stack that keeps every prefix, so a sweep pays only for
 the suffix each sequence changed. ``_rerooted`` adds an up pass giving
 the records of every vertex over its component and of both sides of every
-edge in O(n); vertex classes (``_classes``), critical edges and the
-enumeration of all maximum sets read its tables. ``brute_force_mds``, the
-oracle, scans every subset.
+edge in O(n); vertex classes (``_classes``), critical edges, the number
+of maximum sets holding each vertex and the enumeration of all maximum
+sets read its tables. The subset-scan oracle that the tests compare
+against is not part of the package.
 
 Counts are plain Python integers, so they are exact at any magnitude.
 """
@@ -24,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EnumerationCapExceeded, GuardExceeded
+from .errors import EnumerationCapExceeded
 from .forest import PARENT_NONE, Forest, VertexSet
 from .treegen import LevelSequence
-
-BRUTE_FORCE_LIMIT = 26
 
 
 @dataclass(frozen=True)
@@ -218,42 +217,6 @@ def _classes(whole, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, 
             elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
                 avoided |= 1 << v
     return held, avoided
-
-
-def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int, list[VertexSet]]:
-    """Definition-level oracle: scan all vertex subsets.
-
-    Returns the dissociation number together with every maximum
-    dissociation set, sorted lexicographically by member tuple.
-    """
-    n = forest.n
-    if n > guard:
-        raise GuardExceeded(f"brute force limited to n <= {guard}, got {n}")
-    masks = forest.adjacency_masks()
-    best = -1
-    found: list[int] = []
-    for subset in range(1 << n):
-        size = subset.bit_count()
-        if size < best:
-            continue
-        bits = subset
-        ok = True
-        while bits:
-            low = bits & -bits
-            v = low.bit_length() - 1
-            if (masks[v] & subset).bit_count() > 1:
-                ok = False
-                break
-            bits ^= low
-        if not ok:
-            continue
-        if size > best:
-            best = size
-            found = [subset]
-        else:
-            found.append(subset)
-    sets = sorted((VertexSet(bits, n) for bits in found), key=VertexSet.members)
-    return best, sets
 
 
 def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]:

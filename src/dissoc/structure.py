@@ -12,14 +12,26 @@ included (all), static excluded (none).
 ``critical_structure`` reads all of it from one O(n) rerooting pass of
 the counting DP, which gives the records of every vertex over its
 component and of both sides of every edge: the dissociation number and
-the number of maximum sets, the vertex classes, the critical edges and
-their grouping. ``classify_vertices`` and ``critical_edges_alpha3`` are
-reads of that structure. ``critical_edges_mu3`` reads the rerooted 3-path
-packing pass of ``kpath``, which shares no code with the counting DP, so
-equal edge sets are two independent computations agreeing.
+the number of maximum sets, the number of maximum sets that hold each
+vertex, the number that hold neither end of each critical edge, the
+vertex classes, the critical edges and their grouping.
+``classify_vertices`` and ``critical_edges_alpha3`` are reads of that
+structure. ``critical_edges_mu3`` reads the rerooted 3-path packing pass
+of ``kpath``, which shares no code with the counting DP, so equal edge
+sets are two independent computations agreeing.
 ``verify_structure_theorems`` re-checks the theorems plus the branching
 bound on the number of maximum sets against a given structure and
 reports each outcome separately; a failed check carries a witness.
+
+The claims about every maximum set are count identities, exact at any
+number of sets. With N the number of maximum sets and N(v) the number
+that hold v: every maximum set meets a critical edge iff the number
+holding neither end is 0; it takes exactly one end of an insulated edge
+(u, v) iff also N(u) + N(v) = N, since N(u) + N(v) counts the sets
+holding both ends twice; and it takes exactly two vertices of a critical
+3-path a-m-b iff N(a) + N(m) + N(b) = 2N. No dissociation set holds all three vertices of
+a path, so each set adds at most 2 to that sum, and the sum reaches 2N
+only when every set adds exactly 2.
 """
 
 from __future__ import annotations
@@ -27,12 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dissociation import _classes, _rerooted, enumerate_mds, is_dissociation_set
+from .dissociation import _classes, _rerooted
 from .errors import TheoremViolation
-from .forest import PARENT_NONE, Forest, VertexSet, root_at
+from .forest import PARENT_NONE, Forest, VertexSet
 from .kpath import mu3_edge_deletions
-
-ENUMERATION_CAP = 1_000_000
 
 Edge = tuple[int, int]
 
@@ -44,6 +54,8 @@ class CriticalStructure:
     ``insulated_edges`` and ``critical_triples`` are None when some critical
     component has more than three vertices, which the structure theory
     rules out; ``grouping_failure`` then names that component.
+    ``containing[v]`` is the number of maximum sets that hold vertex v, and
+    ``missed[i]`` the number that hold neither end of ``critical_edges[i]``.
     """
 
     critical_edges: tuple[Edge, ...]
@@ -54,6 +66,8 @@ class CriticalStructure:
     alpha3: int
     count: int
     classes: VertexClassification
+    containing: tuple[int, ...]
+    missed: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +98,9 @@ def _skipped(reason: str) -> CheckResult:
 def critical_structure(forest: Forest) -> CriticalStructure:
     """Count, vertex classes and critical edges of a forest from one
     rerooting pass, with the critical edges grouped into insulated edges
-    and critical 3-paths.
+    and critical 3-paths, plus the number of optima holding each vertex
+    (``containing``) and holding neither end of each critical edge
+    (``missed``).
 
     Raises TheoremViolation when deleting an edge moves alpha3 by anything
     but 0 or +1, or when some optimum of the forest split at a critical edge
@@ -92,12 +108,19 @@ def critical_structure(forest: Forest) -> CriticalStructure:
     """
     n = forest.n
     parent, down, up, whole = _rerooted(forest)
+    best_s, best_w, avoid_s, avoid_w = whole
     roots = [r for r in range(n) if parent[r] == PARENT_NONE]
-    alpha3 = sum(whole[0][r] for r in roots)
-    crit = []
+    alpha3 = sum(best_s[r] for r in roots)
+    count = math.prod(best_w[r] for r in roots)
+    # count // best_w[v]: the optima of the components other than v's
+    containing = tuple(
+        count - avoid_w[v] * (count // best_w[v]) if avoid_s[v] == best_s[v] else count
+        for v in range(n)
+    )
+    crit, missed = [], []
     for e in forest.edges:
         c = e[1] if parent[e[1]] == e[0] else e[0]
-        val = alpha3 - whole[0][c] + down[0][c] + up[0][c]
+        val = alpha3 - best_s[c] + down[0][c] + up[0][c]
         if val == alpha3:
             continue
         if val != alpha3 + 1:
@@ -109,6 +132,9 @@ def critical_structure(forest: Forest) -> CriticalStructure:
                     f"critical edge {e}: some optimum of the split forest avoids {v}"
                 )
         crit.append(e)
+        # an optimum holding neither end excludes c below the edge and its parent above it
+        neither = down[2][c] + up[2][c] == best_s[c]
+        missed.append(down[3][c] * up[3][c] * (count // best_w[c]) if neither else 0)
     insulated, triples, failure = _group_critical_edges(n, crit)
     included, excluded = _classes(whole)
     return CriticalStructure(
@@ -118,12 +144,14 @@ def critical_structure(forest: Forest) -> CriticalStructure:
         eta=len(crit),
         grouping_failure=failure,
         alpha3=alpha3,
-        count=math.prod(whole[1][r] for r in roots),
+        count=count,
         classes=VertexClassification(
             flexible=VertexSet(((1 << n) - 1) & ~(included | excluded), n),
             static_included=VertexSet(included, n),
             static_excluded=VertexSet(excluded, n),
         ),
+        containing=containing,
+        missed=tuple(missed),
     )
 
 
@@ -171,24 +199,6 @@ def classify_vertices(forest: Forest) -> VertexClassification:
     return critical_structure(forest).classes
 
 
-def build_canonical_mds(forest: Forest, root: int) -> VertexSet:
-    """Constructive maximum dissociation set: all static-included vertices
-    plus the deeper endpoint of every critical edge for the given root."""
-    view = root_at(forest, root)
-    struct = critical_structure(forest)
-    bits = struct.classes.static_included.bits
-    for u, v in struct.critical_edges:
-        deeper = u if view.level[u] > view.level[v] else v
-        bits |= 1 << deeper
-    result = VertexSet(bits, forest.n)
-    if not is_dissociation_set(forest, result) or len(result) != struct.alpha3:
-        raise TheoremViolation(
-            f"constructive set {result.members()} at root {root} is not a maximum "
-            f"dissociation set (alpha3={struct.alpha3})"
-        )
-    return result
-
-
 def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[int]]:
     """Isolated vertices and endpoints of isolated edges inside the induced
     subgraph on the static-included class."""
@@ -204,7 +214,7 @@ def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[
 
 
 def verify_structure_theorems(
-    forest: Forest, structure: CriticalStructure, enumeration_cap: int = ENUMERATION_CAP
+    forest: Forest, structure: CriticalStructure
 ) -> dict[str, CheckResult]:
     """Run every structural check on one tree against its ``critical_structure``
     and report each outcome.
@@ -215,8 +225,11 @@ def verify_structure_theorems(
     ``critical_structure`` itself makes (alpha3 rises by exactly one when a
     critical edge is deleted, and every optimum of the split forest keeps
     both of its endpoints) raise TheoremViolation there instead.
-    Enumeration-backed checks are reported "skipped" (never "pass") when
-    the number of maximum dissociation sets exceeds ``enumeration_cap``.
+    ``every_mds_hits_each_critical_edge`` and ``mds_meets_exact_pattern``
+    are the count identities of the module docstring over ``containing``
+    and ``missed``, so they hold for every maximum set however many there
+    are; the sum 2 * count for a 3-path suffices because no dissociation set
+    holds all three of its vertices.
     """
     checks: dict[str, CheckResult] = {}
     cls = structure.classes
@@ -304,41 +317,26 @@ def verify_structure_theorems(
         )
     checks["static_excluded_neighbor_rule"] = _failed(bad) if bad else _passed()
 
-    # enumeration-backed checks
-    enum_names = ("every_mds_hits_each_critical_edge", "mds_meets_exact_pattern")
-    if structure.count > enumeration_cap:
-        for name in enum_names:
-            checks[name] = _skipped(f"{structure.count} maximum sets exceed cap {enumeration_cap}")
-    else:
-        sets = list(enumerate_mds(forest))
-        bad = None
-        for s in sets:
-            for e in crit:
-                if e[0] not in s and e[1] not in s:
-                    bad = f"set {s.members()} misses critical edge {e}"
-                    break
-            if bad:
-                break
-        checks["every_mds_hits_each_critical_edge"] = _failed(bad) if bad else _passed()
+    # claims about every maximum set, as count identities
+    bad = next((f"{m} maximum sets hold neither end of critical edge {e}"
+                for e, m in zip(crit, structure.missed) if m), None)
+    checks["every_mds_hits_each_critical_edge"] = _failed(bad) if bad else _passed()
 
-        if failure:
-            checks["mds_meets_exact_pattern"] = _skipped("critical structure unavailable")
-        else:
-            bad = None
-            for s in sets:
-                for e in structure.insulated_edges:
-                    took = (e[0] in s) + (e[1] in s)
-                    if took != 1:
-                        bad = f"set {s.members()} takes {took} ends of insulated {e}"
-                        break
-                if bad:
-                    break
-                for triple in structure.critical_triples:
-                    took = sum(1 for v in triple if v in s)
-                    if took != 2:
-                        bad = f"set {s.members()} takes {took} of triple {triple}"
-                        break
-                if bad:
-                    break
-            checks["mds_meets_exact_pattern"] = _failed(bad) if bad else _passed()
+    if failure:
+        checks["mds_meets_exact_pattern"] = _skipped("critical structure unavailable")
+    else:
+        count, holding = structure.count, structure.containing
+        missed = dict(zip(crit, structure.missed))
+        bad = None
+        for e in structure.insulated_edges:
+            held = holding[e[0]] + holding[e[1]]
+            if missed[e] or held != count:
+                both = held - count + missed[e]
+                bad = f"insulated edge {e}: {missed[e]} maximum sets take neither end, {both} both"
+                break
+        for triple in structure.critical_triples:
+            held = sum(holding[v] for v in triple)
+            if bad is None and held != 2 * count:
+                bad = f"triple {triple}: maximum sets hold {held} of its vertices, not 2 * {count}"
+        checks["mds_meets_exact_pattern"] = _failed(bad) if bad else _passed()
     return checks

@@ -1,4 +1,4 @@
-"""Exhaustive generation of free trees, plus labeled-tree oracles.
+"""Exhaustive generation of free trees, plus random labeled trees.
 
 Free trees come out one per isomorphism class via the successor walk over
 level sequences in lexicographically decreasing order (Beyer and
@@ -13,9 +13,8 @@ tree. ``forest_from_level_sequence`` decodes a sequence's parent array
 (``LevelSequence.parents``). ``map_free_trees`` drives sweeps over trees,
 sequences or walk chunks, in this process or in a pool.
 
-Labeled trees come from Pruefer sequences and serve as an independent
-oracle: decoding every sequence of length n-2 and deduplicating by
-canonical code must produce the same isomorphism classes.
+Labeled trees come from Pruefer sequences: ``random_labeled_tree``
+decodes a uniform random one.
 """
 
 from __future__ import annotations
@@ -25,13 +24,10 @@ import os
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import islice, product
+from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import GuardExceeded
 from .forest import PARENT_NONE, Forest
-
-PRUEFER_LIMIT = 9
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -180,16 +176,6 @@ def pruefer_decode(seq: tuple[int, ...], n: int) -> Forest:
             heappush(leaves, x)
     edges.append((heappop(leaves), heappop(leaves)))
     return Forest.from_edges(n, edges)
-
-
-def labeled_trees_pruefer(n: int, guard: int = PRUEFER_LIMIT) -> Iterator[Forest]:
-    """Every labeled tree on n vertices, one per Pruefer sequence."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > guard:
-        raise GuardExceeded(f"labeled enumeration limited to n <= {guard}, got {n}")
-    for seq in product(range(n), repeat=max(n - 2, 0)):
-        yield pruefer_decode(seq, n)
 
 
 def random_labeled_tree(n: int, rng: random.Random) -> Forest:

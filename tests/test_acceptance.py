@@ -10,7 +10,7 @@ import time
 import pytest
 
 from dissoc.cli import main
-from dissoc.dissociation import alpha3_count_dp, brute_force_mds, enumerate_mds
+from dissoc.dissociation import alpha3_count_dp, enumerate_mds
 from dissoc.extremal import exhaustive_extremal_check, lt8, max_mds_formula
 from dissoc.kpath import (
     alpha_k_brute,
@@ -25,7 +25,7 @@ from dissoc.structure import (
 )
 from dissoc.treegen import free_trees, random_labeled_tree
 
-from util import mu_k_brute, path, tau_k_brute
+from util import brute_force_mds, mu_k_brute, path, tau_k_brute
 
 
 def _report(name: str, ok: bool, detail: str = ""):

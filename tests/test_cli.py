@@ -212,7 +212,7 @@ def test_out_of_range_arguments_rejected(capsys, monkeypatch, p5_file, argv):
 def test_zero_enumerate_cap_is_valid(capsys, p5_file):
     code, out, _ = run(capsys, "analyze", p5_file, "--enumerate-cap", "0")
     assert code == 0
-    assert json.loads(out)["theorem_checks"]["mds_meets_exact_pattern"] == "skipped"
+    assert json.loads(out)["theorem_checks"]["mds_meets_exact_pattern"] == "pass"
 
 
 def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
@@ -236,20 +236,18 @@ def test_verify_order_guard(capsys, monkeypatch):
 
 
 def test_verify_reports_skipped_checks(capsys):
+    # the structure checks count the maximum sets, so a cap of 1 skips nothing
     code, out, err = run(capsys, "verify", "--n-max", "8", "--enumerate-cap", "1")
     assert code == 0
     assert out.splitlines()[-1] == "total trees=48 failures=0"
-    skipped = [int(k) for k in re.findall(r"^n=\d+ done in [\d.]+s skipped=(\d+)$", err, re.M)]
-    assert len(skipped) == 8
-    assert sum(skipped) > 0
-    _, _, err = run(capsys, "verify", "--n-max", "8")
-    assert re.findall(r"skipped=(\d+)", err) == ["0"] * 8
+    skipped = re.findall(r"^n=\d+ done in [\d.]+s skipped=(\d+)$", err, re.M)
+    assert skipped == ["0"] * 8
 
 
 def count_engine_passes(monkeypatch) -> dict:
-    """Count unmasked ``_rerooted`` passes, and ``_down`` passes made outside
-    a ``_rerooted`` pass, from here to the end of the test."""
-    counts = {"unmasked_rerooted": 0, "standalone_down": 0}
+    """Count unmasked and masked ``_rerooted`` passes, and ``_down`` passes made
+    outside a ``_rerooted`` pass, from here to the end of the test."""
+    counts = {"unmasked_rerooted": 0, "masked_rerooted": 0, "standalone_down": 0}
     inside = []
     down, rerooted = dissociation._down, dissociation._rerooted
 
@@ -258,7 +256,7 @@ def count_engine_passes(monkeypatch) -> dict:
         return down(*args)
 
     def counting_rerooted(forest, include_bits=0, exclude_bits=0):
-        counts["unmasked_rerooted"] += not (include_bits or exclude_bits)
+        counts["masked_rerooted" if include_bits or exclude_bits else "unmasked_rerooted"] += 1
         inside.append(True)
         try:
             return rerooted(forest, include_bits, exclude_bits)
@@ -273,17 +271,17 @@ def count_engine_passes(monkeypatch) -> dict:
 
 def test_analyze_runs_one_engine_pass(capsys, monkeypatch, lt8_file):
     counts = count_engine_passes(monkeypatch)
-    code, _, _ = run(capsys, "analyze", lt8_file, "--enumerate-cap", "0")
+    code, _, _ = run(capsys, "analyze", lt8_file)
     assert code == 0
-    assert counts == {"unmasked_rerooted": 1, "standalone_down": 0}
+    assert counts == {"unmasked_rerooted": 1, "masked_rerooted": 0, "standalone_down": 0}
 
 
 def test_verify_runs_one_engine_pass_per_tree(capsys, monkeypatch):
     counts = count_engine_passes(monkeypatch)
-    code, out, _ = run(capsys, "verify", "--n-max", "8", "--k-list", "3", "--enumerate-cap", "0")
+    code, out, _ = run(capsys, "verify", "--n-max", "8", "--k-list", "3")
     assert code == 0
     assert out.splitlines()[-1] == "total trees=48 failures=0"
-    assert counts == {"unmasked_rerooted": 48, "standalone_down": 0}
+    assert counts == {"unmasked_rerooted": 48, "masked_rerooted": 0, "standalone_down": 0}
 
 
 def test_analyze_reports_a_grouping_failure(capsys, monkeypatch, lt8_file):

@@ -11,7 +11,6 @@ from dissoc.dissociation import (
     alpha3_count_dp,
     alpha3_count_steps,
     alpha3_forced,
-    brute_force_mds,
     enumerate_mds,
     is_dissociation_set,
 )
@@ -30,6 +29,7 @@ from dissoc.treegen import (
 )
 
 from util import (
+    brute_force_mds,
     dp_forest,
     every_level_sequence,
     forest_from_level_sequence_oracle,

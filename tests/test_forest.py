@@ -14,9 +14,9 @@ from dissoc.forest import (
     root_at,
     serialize_edge_list,
 )
-from dissoc.treegen import free_trees, labeled_trees_pruefer
+from dissoc.treegen import free_trees
 
-from util import brute_isomorphic, path, relabel, star
+from util import brute_isomorphic, labeled_trees_pruefer, path, relabel, star
 
 
 def test_vertex_set_basics():

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from dissoc.dissociation import alpha3_count_dp, brute_force_mds, enumerate_mds
+from dissoc.dissociation import alpha3_count_dp, enumerate_mds
 from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, canonical_code
 from dissoc.structure import (
     CheckResult,
-    build_canonical_mds,
     classify_vertices,
     critical_edges_alpha3,
     critical_edges_mu3,
@@ -19,9 +18,12 @@ from dissoc.structure import (
 from dissoc.treegen import free_trees, random_labeled_tree
 
 from util import (
+    brute_force_mds,
+    build_canonical_mds,
     classify_vertices_oracle,
     critical_edges_alpha3_oracle,
     dp_forest,
+    enumerated_structure_checks,
     path,
     random_forest_with_isolated_vertices,
     star,
@@ -172,14 +174,6 @@ def test_verify_structure_theorems_all_pass():
             assert not bad, (n, t.edges, bad)
 
 
-def test_verify_skips_enumeration_over_cap():
-    rep = verify_structure_theorems(path(3), critical_structure(path(3)), enumeration_cap=2)
-    assert rep["every_mds_hits_each_critical_edge"].status == "skipped"
-    assert rep["mds_meets_exact_pattern"].status == "skipped"
-    # non-enumeration checks still ran
-    assert rep["alpha3_equals_static_plus_critical"].status == "pass"
-
-
 def test_verify_pass_results_carry_no_witness():
     rep = verify_structure_theorems(path(5), critical_structure(path(5)))
     assert all(cr.witness is None for cr in rep.values() if cr.status == "pass")
@@ -204,6 +198,68 @@ def test_structure_ops_work_on_forests():
     assert len(s.critical_triples) == 2
     rep = verify_structure_theorems(forest, s)
     assert all(cr.status == "pass" for cr in rep.values())
+
+
+def _assert_counts_match_brute_force(forest):
+    s = critical_structure(forest)
+    _, sets = brute_force_mds(forest)
+    assert s.containing == tuple(sum(v in m for m in sets) for v in range(forest.n)), forest.edges
+    neither = tuple(sum(u not in m and v not in m for m in sets) for u, v in s.critical_edges)
+    assert s.missed == neither, forest.edges
+
+
+def test_containing_and_missed_match_brute_force_on_free_trees():
+    for n in range(1, 11):
+        for t in free_trees(n):
+            _assert_counts_match_brute_force(t)
+
+
+def test_containing_and_missed_match_brute_force_on_forests_with_isolated_vertices():
+    rng = random.Random(11)
+    for _ in range(40):
+        _assert_counts_match_brute_force(random_forest_with_isolated_vertices(rng, 12))
+
+
+def test_count_checks_agree_with_enumeration_oracle():
+    names = ("every_mds_hits_each_critical_edge", "mds_meets_exact_pattern")
+    for n in range(1, 13):
+        for t in free_trees(n):
+            s = critical_structure(t)
+            rep = verify_structure_theorems(t, s)
+            assert {name: rep[name] for name in names} == enumerated_structure_checks(t, s), t.edges
+
+
+def test_count_checks_fail_on_a_wrong_membership_count():
+    # hub 0; 2-path leg (1,2); pendant 3; 3-path leg (4,5,6)
+    t = star_construction(("P3", "P2", "P4"))
+    s = critical_structure(t)
+    assert (s.insulated_edges, s.critical_triples) == (((0, 1),), ((4, 5, 6),))
+    parts = [(0, (0, 1)), (1, (0, 1)), (4, (4, 5, 6)), (5, (4, 5, 6)), (6, (4, 5, 6))]
+    for (v, part), delta in itertools.product(parts, (1, -1)):
+        containing = list(s.containing)
+        containing[v] += delta
+        rep = verify_structure_theorems(t, dataclasses.replace(s, containing=tuple(containing)))
+        assert rep["mds_meets_exact_pattern"].status == "fail", (v, delta)
+        assert str(part) in rep["mds_meets_exact_pattern"].witness, (v, delta)
+        assert rep["every_mds_hits_each_critical_edge"].status == "pass"
+
+
+def test_count_checks_fail_on_a_missed_critical_edge():
+    t = star_construction(("P3", "P2", "P4"))
+    s = critical_structure(t)
+    for i, e in enumerate(s.critical_edges):
+        missed = [0] * len(s.missed)
+        missed[i] = 1
+        rep = verify_structure_theorems(t, dataclasses.replace(s, missed=tuple(missed)))
+        assert rep["every_mds_hits_each_critical_edge"] == CheckResult(
+            "fail", f"1 maximum sets hold neither end of critical edge {e}"
+        )
+        # an insulated edge that some optimum misses breaks the exact pattern too
+        pattern = rep["mds_meets_exact_pattern"]
+        if e in s.insulated_edges:
+            assert pattern.status == "fail" and str(e) in pattern.witness
+        else:
+            assert pattern.status == "pass"
 
 
 def _assert_matches_oracles(forest):

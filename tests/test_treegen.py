@@ -12,13 +12,17 @@ from dissoc.treegen import (
     forest_from_level_sequence,
     free_tree_count,
     free_trees,
-    labeled_trees_pruefer,
     level_sequences,
     pruefer_decode,
     random_labeled_tree,
 )
 
-from util import every_level_sequence, forest_from_level_sequence_oracle, level_sequences_oracle
+from util import (
+    every_level_sequence,
+    forest_from_level_sequence_oracle,
+    labeled_trees_pruefer,
+    level_sequences_oracle,
+)
 
 # number of unlabeled trees of order 1, 2, 3, ...
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]

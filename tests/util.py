@@ -1,23 +1,33 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
-every valid level sequence of an order, the allocating successor walk over the canonical
-ones, a level-sequence decoder through the validating constructor, a second counting DP with its
+every labeled tree of an order, every valid level sequence of an order, the allocating
+successor walk over the canonical ones, a level-sequence decoder through the validating
+constructor, the subset scan for every maximum dissociation set, a second counting DP with its
 own state layout, per-query oracles for the vertex classes and the critical edges built on
-it, the per-edge mu3 loop, exact k-path packing and cover searches on forests, and
-definition-level k-path searches on arbitrary graphs."""
+it, the structure checks over every listed maximum set, the constructive maximum set, the
+per-edge mu3 loop, exact k-path packing and cover searches on forests, and definition-level
+k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
 import random
 import signal
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, product
 
+from dissoc.dissociation import enumerate_mds, is_dissociation_set
 from dissoc.errors import GuardExceeded, TheoremViolation
-from dissoc.forest import PARENT_NONE, Forest, VertexSet, parse_edge_list
+from dissoc.forest import PARENT_NONE, Forest, VertexSet, parse_edge_list, root_at
 from dissoc.kpath import _longest_path_in_mask, greedy_cover_matching
-from dissoc.structure import VertexClassification
-from dissoc.treegen import LevelSequence, random_labeled_tree
+from dissoc.structure import (
+    CheckResult,
+    CriticalStructure,
+    VertexClassification,
+    critical_structure,
+)
+from dissoc.treegen import LevelSequence, pruefer_decode, random_labeled_tree
 
+BRUTE_FORCE_LIMIT = 26
+PRUEFER_LIMIT = 9
 MU_BRUTE_LIMIT = 18
 TAU_BRUTE_LIMIT = 26
 
@@ -75,6 +85,16 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
         return False
 
     return extend(0)
+
+
+def labeled_trees_pruefer(n: int, guard: int = PRUEFER_LIMIT):
+    """Every labeled tree on n vertices, one per Pruefer sequence."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n > guard:
+        raise GuardExceeded(f"labeled enumeration limited to n <= {guard}, got {n}")
+    for seq in product(range(n), repeat=max(n - 2, 0)):
+        yield pruefer_decode(seq, n)
 
 
 def every_level_sequence(n: int):
@@ -174,6 +194,42 @@ def forest_from_level_sequence_oracle(ls: LevelSequence) -> Forest:
             edges.append((stack[-1], i))
         stack.append(i)
     return Forest.from_edges(len(seq), edges)
+
+
+def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int, list[VertexSet]]:
+    """Definition-level oracle: scan all vertex subsets.
+
+    Returns the dissociation number together with every maximum
+    dissociation set, sorted lexicographically by member tuple.
+    """
+    n = forest.n
+    if n > guard:
+        raise GuardExceeded(f"brute force limited to n <= {guard}, got {n}")
+    masks = forest.adjacency_masks()
+    best = -1
+    found: list[int] = []
+    for subset in range(1 << n):
+        size = subset.bit_count()
+        if size < best:
+            continue
+        bits = subset
+        ok = True
+        while bits:
+            low = bits & -bits
+            v = low.bit_length() - 1
+            if (masks[v] & subset).bit_count() > 1:
+                ok = False
+                break
+            bits ^= low
+        if not ok:
+            continue
+        if size > best:
+            best = size
+            found = [subset]
+        else:
+            found.append(subset)
+    sets = sorted((VertexSet(bits, n) for bits in found), key=VertexSet.members)
+    return best, sets
 
 
 def dp_forest(forest: Forest, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
@@ -312,6 +368,55 @@ def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
                 )
         out.append(e)
     return tuple(out)
+
+
+def enumerated_structure_checks(
+    forest: Forest, structure: CriticalStructure
+) -> dict[str, CheckResult]:
+    """``every_mds_hits_each_critical_edge`` and ``mds_meets_exact_pattern``
+    checked set by set over every listed maximum set."""
+
+    def outcome(bad: str | None) -> CheckResult:
+        return CheckResult("fail", bad) if bad else CheckResult("pass")
+
+    sets = list(enumerate_mds(forest))
+    missing = (
+        f"set {s.members()} misses critical edge {e}"
+        for s in sets
+        for e in structure.critical_edges
+        if e[0] not in s and e[1] not in s
+    )
+    checks = {"every_mds_hits_each_critical_edge": outcome(next(missing, None))}
+    if structure.grouping_failure:
+        checks["mds_meets_exact_pattern"] = CheckResult("skipped", "critical structure unavailable")
+        return checks
+    wrong = (
+        f"set {s.members()} takes {took} of {part}"
+        for s in sets
+        for part, want in [(e, 1) for e in structure.insulated_edges]
+        + [(t, 2) for t in structure.critical_triples]
+        if (took := sum(v in s for v in part)) != want
+    )
+    checks["mds_meets_exact_pattern"] = outcome(next(wrong, None))
+    return checks
+
+
+def build_canonical_mds(forest: Forest, root: int) -> VertexSet:
+    """Constructive maximum dissociation set: all static-included vertices
+    plus the deeper endpoint of every critical edge for the given root."""
+    view = root_at(forest, root)
+    struct = critical_structure(forest)
+    bits = struct.classes.static_included.bits
+    for u, v in struct.critical_edges:
+        deeper = u if view.level[u] > view.level[v] else v
+        bits |= 1 << deeper
+    result = VertexSet(bits, forest.n)
+    if not is_dissociation_set(forest, result) or len(result) != struct.alpha3:
+        raise TheoremViolation(
+            f"constructive set {result.members()} at root {root} is not a maximum "
+            f"dissociation set (alpha3={struct.alpha3})"
+        )
+    return result
 
 
 @contextmanager
