@@ -3,13 +3,11 @@
 from .forest import (
     CanonicalCode,
     Forest,
-    RootedView,
     VertexSet,
     canonical_code,
     centroids,
     normalize_indices,
     parse_edge_list,
-    root_at,
     serialize_edge_list,
 )
 from .dissociation import (

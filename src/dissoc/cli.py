@@ -93,6 +93,10 @@ def _kke(forest: Forest, cert: CoverMatchingCertificate, alpha3: int) -> dict:
     return {"alpha_k": alpha, "mu_k": mu, "holds": alpha + mu == forest.n}
 
 
+def _kke_failure(k: int | str, kke: dict, n: int) -> str:
+    return f"kke k={k}: alpha_k={kke['alpha_k']} mu_k={kke['mu_k']} n={n}"
+
+
 def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
     struct = critical_structure(forest)
     cls = struct.classes
@@ -104,7 +108,8 @@ def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
                    for a, b, c in struct.critical_triples]
     kke = {str(k): _kke(forest, greedy_cover_matching(forest, k), struct.alpha3) for k in k_values}
     violations = sorted(
-        f"{name}: {cr.witness}" for name, cr in checks.items() if cr.status == "fail"
+        [f"{name}: {cr.witness}" for name, cr in checks.items() if cr.status == "fail"]
+        + [_kke_failure(k, r, forest.n) for k, r in kke.items() if not r["holds"]]
     )
     return {
         "n": forest.n,
@@ -162,7 +167,7 @@ def _check_tree(tree: Forest, k_list: tuple[int, ...]) -> tuple[int, tuple[str, 
             failures.append(f"certificate k={k}: {problem}")
         kke = _kke(tree, cert, struct.alpha3)
         if not kke["holds"]:
-            failures.append(f"kke k={k}: alpha_k={kke['alpha_k']} mu_k={kke['mu_k']} n={tree.n}")
+            failures.append(_kke_failure(k, kke, tree.n))
     return struct.count, tuple(failures), skipped
 
 

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
 from .forest import PARENT_NONE, Forest, VertexSet
-from .treegen import LevelSequence
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,8 @@ def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
     return True
 
 
-def alpha3_count_dp(tree: Forest | LevelSequence) -> DissociationResult:
+def alpha3_count_dp(tree: Forest) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
-    if isinstance(tree, LevelSequence):
-        return DissociationResult(*next(alpha3_count_steps([(0, tree.seq)])))
     return DissociationResult(*_optimum(*tree.bfs))
 
 

@@ -5,16 +5,15 @@ are spider-like trees S*(...) built by gluing one designated leaf of each
 leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
 counts the level sequence of every isomorphism class of the given order
 and compares the observed record and holders against the prediction: each
-chunk of walk steps gets one prefix-sharing count, and only the trees whose
-count reaches the formula are decoded and coded (a record below it takes a
-second pass with the record as the floor).
+chunk of walk steps gets one prefix-sharing count and reports its record
+and the level sequences reaching it, and only the holders of the overall
+record are decoded and coded, in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .dissociation import alpha3_count_steps
@@ -129,11 +128,15 @@ class ExtremalReport:
     note: str = ""
 
 
-def _count_and_code(floor: int, chunk) -> list[tuple[int, bytes | None]]:
-    """Count a chunk of walk steps with one fold; code the counts from ``floor`` up."""
-    return [(count, canonical_code(forest_from_level_sequence(LevelSequence(seq))).code
-             if count >= floor else None)
-            for (_, seq), (_, count) in zip(chunk, alpha3_count_steps(chunk))]
+def _chunk_record(chunk) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(trees, record, level sequences at the record) of a chunk of walk steps."""
+    best, holders = -1, []
+    for (_, seq), (_, count) in zip(chunk, alpha3_count_steps(chunk)):
+        if count > best:
+            best, holders = count, [seq]
+        elif count == best:
+            holders.append(seq)
+    return len(chunk), best, holders
 
 
 def _family_note(n: int) -> str:
@@ -153,21 +156,15 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
         raise GuardExceeded(f"sweep limited to n <= {guard}, got {n}")
     formula = max_mds_formula(n)
     predicted = tuple(canonical_code(t) for t in generate_extremal_family(n))
-    floor = formula
-    while True:
-        best, argmax, scanned = -1, [], 0
-        count_and_code = partial(_count_and_code, floor)
-        chunks = map_free_trees(walk_chunks(n, 64), count_and_code, jobs)  # 64 steps per unit
-        for count, code in chain.from_iterable(chunks):
-            scanned += 1
-            if count > best:
-                best, argmax = count, [code]
-            elif count == best:
-                argmax.append(code)
-        if best >= floor:
-            break
-        floor = best  # the record is below the formula: sweep again to code its holders
-    observed = tuple(CanonicalCode(c) for c in sorted(argmax))
+    best, holders, scanned = -1, [], 0
+    for trees, record, seqs in map_free_trees(walk_chunks(n, 64), _chunk_record, jobs):
+        scanned += trees  # 64 walk steps per chunk
+        if record > best:
+            best, holders = record, seqs
+        elif record == best:
+            holders += seqs
+    observed = tuple(sorted(
+        canonical_code(forest_from_level_sequence(LevelSequence(seq))) for seq in holders))
     characterized = n != 4
     match = best == formula
     if characterized:

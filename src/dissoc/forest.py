@@ -4,10 +4,12 @@ A ``Forest`` keeps an edge list, per-vertex sorted adjacency, and the
 original string labels when it was parsed from text. All structures are
 immutable after construction and safe to share between threads; the one
 BFS that roots every component at its smallest vertex is computed on
-first use and cached. Rooted views, centroid location, and an AHU-style
-canonical code (rooted at the centroid) give isomorphism-level identity
-for trees. ``Forest.from_edges`` validates the edges of every input but a
-validated level sequence, which ``treegen`` decodes directly as a tree.
+first use and cached. Centroids and an AHU code rooted at the centroid
+(Aho, Hopcroft and Ullman, 1974) give isomorphism-level identity for
+trees; the code folds a reversed BFS and holds only the open frontier,
+O(n) bytes, though copying them costs O(n * depth). ``Forest.from_edges``
+validates the edges of every input but a validated level sequence, which
+``treegen`` decodes directly as a tree.
 
 Edge-list text format: one edge per line as two whitespace-separated
 labels, ``#`` starts a comment, and ``vertex <label>`` declares an
@@ -66,9 +68,6 @@ class VertexSet:
 
     def without_vertex(self, v: int) -> "VertexSet":
         return VertexSet(self.bits & ~(1 << v), self.n)
-
-    def intersects(self, other: "VertexSet") -> bool:
-        return self.bits & other.bits != 0
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.bits >> v) & 1 == 1
@@ -193,49 +192,6 @@ class Forest:
         return masks
 
 
-@dataclass(frozen=True)
-class RootedView:
-    """Parent/level/post-order data for one rooting of a tree."""
-
-    root: int
-    parent: tuple[int, ...]
-    level: tuple[int, ...]
-    post_order: tuple[int, ...]
-
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in self.parent]
-        for v, p in enumerate(self.parent):
-            if p != PARENT_NONE:
-                kids[p].append(v)
-        return tuple(tuple(k) for k in kids)
-
-
-def root_at(forest: Forest, root: int) -> RootedView:
-    """Root a connected tree, computing parents and path-length levels."""
-    if not 0 <= root < forest.n:
-        raise ValueError(f"root {root} out of range")
-    if not forest.is_tree:
-        raise ValueError("input is disconnected; root each component separately")
-    parent = [PARENT_NONE] * forest.n
-    level = [0] * forest.n
-    order = [root]
-    seen = [False] * forest.n
-    seen[root] = True
-    for v in order:
-        for w in forest.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                level[w] = level[v] + 1
-                order.append(w)
-    return RootedView(
-        root=root,
-        parent=tuple(parent),
-        level=tuple(level),
-        post_order=tuple(reversed(order)),
-    )
-
-
 def centroids(forest: Forest) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component left by their removal."""
     if not forest.is_tree:
@@ -272,12 +228,19 @@ class CanonicalCode:
 
 
 def _ahu_code(forest: Forest, root: int) -> bytes:
-    view = root_at(forest, root)
-    kids = view.children()
-    code: list[bytes] = [b""] * forest.n
-    for v in view.post_order:
-        parts = sorted(code[c] for c in kids[v])
-        code[v] = b"(" + b"".join(parts) + b")"
+    """AHU code rooted at ``root``; a vertex's children are its neighbours already
+    coded, and a parent pops their codes, so ``code`` holds at most 2n bytes."""
+    order, seen = [root], [False] * forest.n
+    seen[root] = True
+    for v in order:
+        for w in forest.adjacency[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    code: dict[int, bytes] = {}
+    for v in reversed(order):
+        kids = sorted([code.pop(w) for w in forest.adjacency[v] if w in code])
+        code[v] = b"(" + b"".join(kids) + b")"
     return code[root]
 
 

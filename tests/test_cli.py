@@ -303,3 +303,15 @@ def test_analyze_reports_a_grouping_failure(capsys, monkeypatch, lt8_file):
     assert doc["violations"] == [f"critical_components_are_edge_or_3path: {witness}"]
     assert doc["theorem_checks"]["count_within_branching_bound"] == "skipped"
     assert doc["eta"] == len(doc["critical_edges"]) == 2
+
+
+def test_analyze_reports_a_failed_kke_identity(capsys, monkeypatch, p5_file):
+    # alpha_k + mu_k == n is a checked fact: its failure is a violation with
+    # verify's wording, and analyze exits 3
+    monkeypatch.setattr("dissoc.cli.alpha_k_brute", lambda forest, k: 0)
+    code, out, _ = run(capsys, "analyze", p5_file, "--k", "2,3")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["kke"]["2"] == {"alpha_k": 0, "mu_k": 2, "holds": False}
+    assert doc["kke"]["3"]["holds"] is True
+    assert doc["violations"] == ["kke k=2: alpha_k=0 mu_k=2 n=5"]

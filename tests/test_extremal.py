@@ -171,7 +171,7 @@ def test_sweep_builds_each_tree_once(monkeypatch):
 @pytest.mark.parametrize("n", [8, 9])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_record_below_formula_codes_every_holder(monkeypatch, n, jobs):
-    # a record below the formula takes a second pass that codes its holders
+    # a record below the formula still gets every holder coded, in the one pass
     plain = exhaustive_extremal_check(n)
     formula = max_mds_formula
     monkeypatch.setattr(extremal, "max_mds_formula", lambda m: formula(m) + 1)

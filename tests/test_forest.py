@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,12 +12,19 @@ from dissoc.forest import (
     centroids,
     normalize_indices,
     parse_edge_list,
-    root_at,
     serialize_edge_list,
 )
-from dissoc.treegen import free_trees
+from dissoc.treegen import free_trees, random_labeled_tree
 
-from util import brute_isomorphic, labeled_trees_pruefer, path, relabel, star
+from util import (
+    ahu_code_oracle,
+    brute_isomorphic,
+    deadline,
+    labeled_trees_pruefer,
+    path,
+    relabel,
+    star,
+)
 
 
 def test_vertex_set_basics():
@@ -98,32 +106,34 @@ def test_parse_lt8_text():
     assert canonical_code(f) == canonical_code(lt8())
 
 
-def test_root_at_levels():
-    assert root_at(path(3), 1).level == (1, 0, 1)
-    assert root_at(path(4), 0).level == (0, 1, 2, 3)
-    lt8 = parse_edge_list(LT8_TEXT)
-    view = root_at(lt8, 1)  # root at u2
-    assert view.level[7] == 3  # v4
-
-
-def test_root_at_rejects_disconnected():
-    two = Forest.from_edges(2, [])
-    with pytest.raises(ValueError, match="disconnected"):
-        root_at(two, 0)
-
-
-def test_post_order_children_before_parents():
-    view = root_at(path(5), 2)
-    pos = {v: i for i, v in enumerate(view.post_order)}
-    for v, p in enumerate(view.parent):
-        if p != -1:
-            assert pos[v] < pos[p]
-
-
 def test_canonical_code_relabeling_invariance():
     p4 = path(4)
     assert canonical_code(p4) == canonical_code(relabel(p4, [3, 0, 2, 1]))
     assert canonical_code(p4) != canonical_code(star(4))
+
+
+def test_canonical_code_equals_nested_bytes_oracle():
+    for n in range(1, 13):
+        for t in free_trees(n):
+            assert canonical_code(t).code == ahu_code_oracle(t), t.edges
+    rng = random.Random(14)
+    for _ in range(300):
+        t = random_labeled_tree(rng.randint(1, 400), rng)
+        assert canonical_code(t).code == ahu_code_oracle(t), t.edges
+
+
+def test_canonical_code_of_a_long_path_holds_linear_memory():
+    # one byte string per vertex would hold about 200 MB of codes at this order
+    long_path = path(20_000)
+    tracemalloc.start()
+    try:
+        with deadline(10):
+            code = canonical_code(long_path).code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 2 * 20_000
+    assert peak < 50 * 2**20, peak
 
 
 def test_canonical_code_rejects_disconnected():
@@ -160,7 +170,6 @@ def test_centroid_component_sizes_are_relabeling_invariant():
     rng = random.Random(5)
     for t in free_trees(7):
         base = centroids(t)
-        view = root_at(t, base[0])
         perm = list(range(t.n))
         rng.shuffle(perm)
         other = relabel(t, perm)

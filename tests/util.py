@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from dissoc.dissociation import enumerate_mds, is_dissociation_set
 from dissoc.errors import GuardExceeded, TheoremViolation
-from dissoc.forest import PARENT_NONE, Forest, VertexSet, parse_edge_list, root_at
+from dissoc.forest import PARENT_NONE, Forest, VertexSet, centroids, parse_edge_list
 from dissoc.kpath import _longest_path_in_mask, greedy_cover_matching
 from dissoc.structure import (
     CheckResult,
@@ -401,14 +401,53 @@ def enumerated_structure_checks(
     return checks
 
 
+def root_at(forest: Forest, root: int) -> tuple[list[int], list[int], list[int]]:
+    """(parent, level, BFS order) of a connected tree rooted at ``root``."""
+    if not 0 <= root < forest.n:
+        raise ValueError(f"root {root} out of range")
+    if not forest.is_tree:
+        raise ValueError("input is disconnected; root each component separately")
+    parent = [PARENT_NONE] * forest.n
+    level = [0] * forest.n
+    order = [root]
+    seen = [False] * forest.n
+    seen[root] = True
+    for v in order:
+        for w in forest.adjacency[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                level[w] = level[v] + 1
+                order.append(w)
+    return parent, level, order
+
+
+def ahu_code_oracle(forest: Forest) -> bytes:
+    """``canonical_code``'s bytes from one nested byte string per vertex: the AHU
+    code rooted at each centroid, children's codes sorted, the smaller of both."""
+
+    def code_at(root: int) -> bytes:
+        parent, _, order = root_at(forest, root)
+        kids: list[list[int]] = [[] for _ in parent]
+        for v, p in enumerate(parent):
+            if p != PARENT_NONE:
+                kids[p].append(v)
+        code = [b""] * forest.n
+        for v in reversed(order):
+            code[v] = b"(" + b"".join(sorted(code[c] for c in kids[v])) + b")"
+        return code[root]
+
+    return min(code_at(c) for c in centroids(forest))
+
+
 def build_canonical_mds(forest: Forest, root: int) -> VertexSet:
     """Constructive maximum dissociation set: all static-included vertices
     plus the deeper endpoint of every critical edge for the given root."""
-    view = root_at(forest, root)
+    _, level, _ = root_at(forest, root)
     struct = critical_structure(forest)
     bits = struct.classes.static_included.bits
     for u, v in struct.critical_edges:
-        deeper = u if view.level[u] > view.level[v] else v
+        deeper = u if level[u] > level[v] else v
         bits |= 1 << deeper
     result = VertexSet(bits, forest.n)
     if not is_dissociation_set(forest, result) or len(result) != struct.alpha3:
