@@ -15,7 +15,6 @@ from .dissociation import (
     alpha3_count_dp,
     alpha3_forced,
     enumerate_mds,
-    is_dissociation_set,
 )
 from .errors import EnumerationCapExceeded, GuardExceeded, ParseError, TheoremViolation
 from .extremal import (

@@ -31,13 +31,8 @@ from .forest import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .kpath import (
-    CoverMatchingCertificate,
-    alpha_k_brute,
-    greedy_cover_matching,
-    verify_certificate,
-)
-from .structure import critical_edges_mu3, critical_structure, verify_structure_theorems
+from .kpath import greedy_cover_matching
+from .structure import critical_structure, kke_identity, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
 EXIT_OK = 0
@@ -64,7 +59,7 @@ def _parse_k_list(text: str) -> list[int]:
         raise _UsageError(f"bad k list {text!r}") from exc
     if not ks or any(k < 2 for k in ks):
         raise _UsageError("k values must be integers >= 2")
-    return ks
+    return list(dict.fromkeys(ks))  # a repeated k names the same checks
 
 
 def _at_least(low: int):
@@ -84,19 +79,6 @@ def _labels(forest: Forest, vertices) -> list[str]:
     return [forest.label(v) for v in sorted(vertices)]
 
 
-def _kke(forest: Forest, cert: CoverMatchingCertificate, alpha3: int) -> dict:
-    """alpha_k + mu_k == n for the k of ``cert``: alpha_k is the counting
-    DP's alpha3 at k=3 and the subset search otherwise, mu_k the size of the
-    certificate's matching."""
-    alpha = alpha3 if cert.k == 3 else alpha_k_brute(forest, cert.k)
-    mu = len(cert.matching.paths)
-    return {"alpha_k": alpha, "mu_k": mu, "holds": alpha + mu == forest.n}
-
-
-def _kke_failure(k: int | str, kke: dict, n: int) -> str:
-    return f"kke k={k}: alpha_k={kke['alpha_k']} mu_k={kke['mu_k']} n={n}"
-
-
 def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
     struct = critical_structure(forest)
     cls = struct.classes
@@ -106,10 +88,12 @@ def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
         insulated = [[forest.label(u), forest.label(v)] for u, v in struct.insulated_edges]
         triples = [[forest.label(a), forest.label(b), forest.label(c)]
                    for a, b, c in struct.critical_triples]
-    kke = {str(k): _kke(forest, greedy_cover_matching(forest, k), struct.alpha3) for k in k_values}
+    kke, kke_checks = {}, {}
+    for k in k_values:
+        cert = greedy_cover_matching(forest, k)
+        kke[str(k)], kke_checks[f"kke k={k}"] = kke_identity(forest, cert, struct.alpha3)
     violations = sorted(
-        [f"{name}: {cr.witness}" for name, cr in checks.items() if cr.status == "fail"]
-        + [_kke_failure(k, r, forest.n) for k, r in kke.items() if not r["holds"]]
+        f"{name}: {cr.witness}" for name, cr in (checks | kke_checks).items() if cr.status == "fail"
     )
     return {
         "n": forest.n,
@@ -148,27 +132,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _check_tree(tree: Forest, k_list: tuple[int, ...]) -> tuple[int, tuple[str, ...], int]:
-    """Per-tree verification work unit; returns (mds count, failure notes, skipped checks)."""
-    failures: list[str] = []
-    skipped = 0
+    """Per-tree verification work unit: one registry call over the structure
+    and the k-list's certificates; returns (mds count, failure notes, skipped checks)."""
     struct = critical_structure(tree)
-    for name, cr in verify_structure_theorems(tree, struct).items():
-        if cr.status == "fail":
-            failures.append(f"{name}: {cr.witness}")
-        skipped += cr.status == "skipped"
-    try:
-        if set(struct.critical_edges) != set(critical_edges_mu3(tree)):
-            failures.append("critical_edge_sets_coincide: alpha3 and mu3 sets differ")
-    except TheoremViolation as exc:
-        failures.append(f"criticality: {exc.witness}")
-    for k in k_list:
-        cert = greedy_cover_matching(tree, k)
-        for problem in verify_certificate(tree, cert):
-            failures.append(f"certificate k={k}: {problem}")
-        kke = _kke(tree, cert, struct.alpha3)
-        if not kke["holds"]:
-            failures.append(_kke_failure(k, kke, tree.n))
-    return struct.count, tuple(failures), skipped
+    certs = [greedy_cover_matching(tree, k) for k in k_list]
+    checks = verify_structure_theorems(tree, struct, certs).items()
+    failures = tuple(f"{name}: {cr.witness}" for name, cr in checks if cr.status == "fail")
+    return struct.count, failures, sum(cr.status == "skipped" for _, cr in checks)
 
 
 def _cmd_verify(args) -> int:

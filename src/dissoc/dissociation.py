@@ -35,18 +35,6 @@ class DissociationResult:
     count: int
 
 
-def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
-    """True iff the subset induces maximum degree at most one."""
-    bits = vs.bits
-    for v in vs:
-        inside = 0
-        for w in forest.adjacency[v]:
-            inside += (bits >> w) & 1
-            if inside > 1:
-                return False
-    return True
-
-
 def alpha3_count_dp(tree: Forest) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
     return DissociationResult(*_optimum(*tree.bfs))

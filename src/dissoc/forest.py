@@ -44,14 +44,6 @@ class VertexSet:
     n: int
 
     @classmethod
-    def empty(cls, n: int) -> "VertexSet":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
     def from_iterable(cls, n: int, members: Iterable[int]) -> "VertexSet":
         bits = 0
         for v in members:
@@ -62,12 +54,6 @@ class VertexSet:
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def with_vertex(self, v: int) -> "VertexSet":
-        return VertexSet(self.bits | (1 << v), self.n)
-
-    def without_vertex(self, v: int) -> "VertexSet":
-        return VertexSet(self.bits & ~(1 << v), self.n)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.bits >> v) & 1 == 1

@@ -19,9 +19,12 @@ vertex classes, the critical edges and their grouping.
 structure. ``critical_edges_mu3`` reads the rerooted 3-path packing pass
 of ``kpath``, which shares no code with the counting DP, so equal edge
 sets are two independent computations agreeing.
-``verify_structure_theorems`` re-checks the theorems plus the branching
-bound on the number of maximum sets against a given structure and
-reports each outcome separately; a failed check carries a witness.
+``verify_structure_theorems`` is the one registry of per-tree checks: the
+theorems plus the branching bound on the number of maximum sets, read from
+a given structure, the agreement of the alpha3- and mu3-critical edge
+sets, and for each k-path cover/matching certificate it is given the
+certificate itself and the k-König–Egerváry identity alpha_k + mu_k = n
+(``kke_identity``). Each check ends as pass, fail with a witness, or skip.
 
 The claims about every maximum set are count identities, exact at any
 number of sets. With N the number of maximum sets and N(v) the number
@@ -38,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .dissociation import _classes, _rerooted
 from .errors import TheoremViolation
 from .forest import PARENT_NONE, Forest, VertexSet
-from .kpath import mu3_edge_deletions
+from .kpath import CoverMatchingCertificate, alpha_k_brute, mu3_edge_deletions, verify_certificate
 
 Edge = tuple[int, int]
 
@@ -213,18 +217,43 @@ def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[
     return iso, edge_ends
 
 
-def verify_structure_theorems(
-    forest: Forest, structure: CriticalStructure
-) -> dict[str, CheckResult]:
-    """Run every structural check on one tree against its ``critical_structure``
-    and report each outcome.
+def kke_identity(
+    forest: Forest, cert: CoverMatchingCertificate, alpha3: int
+) -> tuple[dict, CheckResult]:
+    """alpha_k + mu_k == n for the k of ``cert``: alpha_k is the counting DP's
+    ``alpha3`` at k=3 and the subset search ``alpha_k_brute`` otherwise, mu_k
+    the size of the certificate's matching. Returns the record
+    ``{"alpha_k", "mu_k", "holds"}`` and the check's outcome, whose witness
+    is ``alpha_k=… mu_k=… n=…``."""
+    alpha = alpha3 if cert.k == 3 else alpha_k_brute(forest, cert.k)
+    mu = len(cert.matching.paths)
+    holds = alpha + mu == forest.n
+    record = {"alpha_k": alpha, "mu_k": mu, "holds": holds}
+    return record, _passed() if holds else _failed(f"alpha_k={alpha} mu_k={mu} n={forest.n}")
 
-    A failed check is reported with its witness. A critical component of
-    more than three vertices fails ``critical_components_are_edge_or_3path``
-    and skips the checks that read the grouping. The two checks that
-    ``critical_structure`` itself makes (alpha3 rises by exactly one when a
-    critical edge is deleted, and every optimum of the split forest keeps
-    both of its endpoints) raise TheoremViolation there instead.
+
+def verify_structure_theorems(
+    forest: Forest,
+    structure: CriticalStructure,
+    certificates: Sequence[CoverMatchingCertificate] = (),
+) -> dict[str, CheckResult]:
+    """Run every per-tree check on one tree against its ``critical_structure``
+    and report each outcome by name, in a fixed order.
+
+    The structure checks come first, then ``critical_edge_sets_coincide``:
+    the alpha3-critical edges of ``structure`` equal those of
+    ``critical_edges_mu3``, an independent pass. For each certificate
+    ``certificate k=K`` holds the problems ``verify_certificate`` finds,
+    joined by ``; ``, and ``kke k=K`` the identity of ``kke_identity``.
+
+    A failed check is reported with its witness; a TheoremViolation from
+    ``critical_edges_mu3`` is the witness of ``critical_edge_sets_coincide``.
+    A critical component of more than three vertices fails
+    ``critical_components_are_edge_or_3path`` and skips the checks that read
+    the grouping. The two checks that ``critical_structure`` itself makes
+    (alpha3 rises by exactly one when a critical edge is deleted, and every
+    optimum of the split forest keeps both of its endpoints) raise
+    TheoremViolation there instead.
     ``every_mds_hits_each_critical_edge`` and ``mds_meets_exact_pattern``
     are the count identities of the module docstring over ``containing``
     and ``missed``, so they hold for every maximum set however many there
@@ -339,4 +368,18 @@ def verify_structure_theorems(
             if bad is None and held != 2 * count:
                 bad = f"triple {triple}: maximum sets hold {held} of its vertices, not 2 * {count}"
         checks["mds_meets_exact_pattern"] = _failed(bad) if bad else _passed()
+
+    try:
+        differ = set(crit) != set(critical_edges_mu3(forest))
+    except TheoremViolation as exc:
+        checks["critical_edge_sets_coincide"] = _failed(exc.witness)
+    else:
+        checks["critical_edge_sets_coincide"] = (
+            _failed("alpha3 and mu3 sets differ") if differ else _passed()
+        )
+
+    for cert in certificates:
+        problems = verify_certificate(forest, cert)
+        checks[f"certificate k={cert.k}"] = _failed("; ".join(problems)) if problems else _passed()
+        checks[f"kke k={cert.k}"] = kke_identity(forest, cert, structure.alpha3)[1]
     return checks

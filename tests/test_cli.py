@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dissoc import dissociation, structure, treegen
+from dissoc import cli, dissociation, structure, treegen
 from dissoc.cli import main
+from dissoc.errors import TheoremViolation
 from dissoc.forest import canonical_code, parse_edge_list
 from dissoc.structure import critical_structure
 
@@ -134,6 +136,16 @@ def test_extremal_sweep_stdout_matches_golden(capsys, n):
     # golden_extremal_sweep.json holds the stdout and exit code of `extremal --n N --sweep`
     want = GOLDEN_SWEEP[n]
     assert run(capsys, "extremal", "--n", n, "--sweep")[:2] == (want["exit_code"], want["stdout"])
+
+
+GOLDEN_VERIFY = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_VERIFY))
+def test_verify_stdout_matches_golden(capsys, argv):
+    # golden_verify.json holds the stdout and exit code of each `verify` command it names
+    want = GOLDEN_VERIFY[argv]
+    assert run(capsys, *argv.split())[:2] == (want["exit_code"], want["stdout"])
 
 
 def test_extremal_family_only(capsys):
@@ -308,10 +320,90 @@ def test_analyze_reports_a_grouping_failure(capsys, monkeypatch, lt8_file):
 def test_analyze_reports_a_failed_kke_identity(capsys, monkeypatch, p5_file):
     # alpha_k + mu_k == n is a checked fact: its failure is a violation with
     # verify's wording, and analyze exits 3
-    monkeypatch.setattr("dissoc.cli.alpha_k_brute", lambda forest, k: 0)
+    monkeypatch.setattr("dissoc.structure.alpha_k_brute", lambda forest, k: 0)
     code, out, _ = run(capsys, "analyze", p5_file, "--k", "2,3")
     assert code == 3
     doc = json.loads(out)
     assert doc["kke"]["2"] == {"alpha_k": 0, "mu_k": 2, "holds": False}
     assert doc["kke"]["3"]["holds"] is True
     assert doc["violations"] == ["kke k=2: alpha_k=0 mu_k=2 n=5"]
+
+
+def _mu3_raises(fn, forest):
+    raise TheoremViolation("deleting edge (0, 1) moved mu3 from 1 to 3")
+
+
+# name -> (function of dissoc.structure, its broken form given the original, note on P3)
+FAULTS = {
+    "mu3 set drops an edge": (
+        "critical_edges_mu3",
+        lambda fn, forest: fn(forest)[1:],
+        "critical_edge_sets_coincide: alpha3 and mu3 sets differ",
+    ),
+    "mu3 pass raises": (
+        "critical_edges_mu3",
+        _mu3_raises,
+        "critical_edge_sets_coincide: deleting edge (0, 1) moved mu3 from 1 to 3",
+    ),
+    "certificate has a problem": (
+        "verify_certificate",
+        lambda fn, forest, cert: fn(forest, cert) + ["injected"] * (cert.k == 2),
+        "certificate k=2: injected",
+    ),
+    "alpha_k one too large": (
+        "alpha_k_brute",
+        lambda fn, forest, k: fn(forest, k) + 1,
+        "kke k=2: alpha_k=3 mu_k=1 n=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_verify_reports_a_failed_check_and_finishes_the_sweep(capsys, monkeypatch, fault):
+    # the fault hits only P3, the one tree of order 3: its row counts one
+    # failure and names it, and every other row is as on a clean run
+    argv = ("verify", "--n-max", "5", "--k-list", "2,3")
+    clean = run(capsys, *argv)[1]
+    name, broken, note = FAULTS[fault]
+    fn = getattr(structure, name)
+
+    def on_p3(forest, *args):
+        return broken(fn, forest, *args) if forest.n == 3 else fn(forest, *args)
+
+    monkeypatch.setattr(structure, name, on_p3)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    row = "n=3 trees=1 failures=0 max_count=3 formula=3 match=true\n"
+    assert clean.count(row) == 1 and clean.endswith("total trees=8 failures=0\n")
+    want = clean.replace(row, row.replace("failures=0", "failures=1") + f"  counterexample at n=3: {note}\n")
+    assert out == want.replace("total trees=8 failures=0", "total trees=8 failures=1")
+
+
+def test_verify_reaches_every_check_through_the_registry(capsys, monkeypatch):
+    # per tree, dissoc.cli builds the structure and calls the registry once;
+    # the certificate checks, alpha_k and the mu3 edges run inside the registry
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("critical_structure", "verify_structure_theorems"):
+        count(cli, name)
+    for name in ("verify_certificate", "alpha_k_brute", "critical_edges_mu3"):
+        assert not hasattr(cli, name), name
+        count(structure, name)
+    code, out, _ = run(capsys, "verify", "--n-max", "7")
+    assert (code, out.splitlines()[-1]) == (0, "total trees=25 failures=0")
+    assert calls == {
+        "dissoc.cli.critical_structure": 25,
+        "dissoc.cli.verify_structure_theorems": 25,
+        "dissoc.structure.verify_certificate": 25 * 4,
+        "dissoc.structure.alpha_k_brute": 25 * 3,
+        "dissoc.structure.critical_edges_mu3": 25,
+    }

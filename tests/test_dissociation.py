@@ -12,7 +12,6 @@ from dissoc.dissociation import (
     alpha3_count_steps,
     alpha3_forced,
     enumerate_mds,
-    is_dissociation_set,
 )
 from dissoc.errors import EnumerationCapExceeded, GuardExceeded
 from dissoc.extremal import lt8, star_construction
@@ -33,6 +32,7 @@ from util import (
     dp_forest,
     every_level_sequence,
     forest_from_level_sequence_oracle,
+    is_dissociation_set,
     path,
     random_forest_with_isolated_vertices,
     star,
@@ -152,9 +152,9 @@ def test_arbitrary_precision_count():
 
 def test_forced_examples():
     p3 = path(3)
-    none = VertexSet.empty(3)
+    none = VertexSet(0, 3)
     assert alpha3_forced(p3, VertexSet.from_iterable(3, [1]), none) == 2
-    assert alpha3_forced(p3, VertexSet.full(3), none) is None
+    assert alpha3_forced(p3, VertexSet(0b111, 3), none) is None
     assert alpha3_forced(p3, none, none) == 2
     with pytest.raises(ValueError, match="overlap"):
         alpha3_forced(p3, VertexSet.from_iterable(3, [0]), VertexSet.from_iterable(3, [0]))
@@ -166,7 +166,7 @@ def test_forced_against_brute():
             alpha, sets = brute_force_mds(t)
             for v in range(n):
                 hold = VertexSet.from_iterable(n, [v])
-                none = VertexSet.empty(n)
+                none = VertexSet(0, n)
                 in_some_max = any(v in s for s in sets)
                 got = alpha3_forced(t, hold, none)
                 assert got == alpha if in_some_max else got < alpha

@@ -108,7 +108,7 @@ def test_certificate_checker_catches_tampering():
     assert verify_certificate(t, cert) == []
     # cover too small for the matching
     bad = CoverMatchingCertificate(
-        cover=VertexSet.empty(6), matching=cert.matching, k=3
+        cover=VertexSet(0, 6), matching=cert.matching, k=3
     )
     assert any("cover size" in p for p in verify_certificate(t, bad))
     # a fake path that is not a path of the tree

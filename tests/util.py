@@ -1,11 +1,11 @@
 """Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
 every labeled tree of an order, every valid level sequence of an order, the allocating
 successor walk over the canonical ones, a level-sequence decoder through the validating
-constructor, the subset scan for every maximum dissociation set, a second counting DP with its
-own state layout, per-query oracles for the vertex classes and the critical edges built on
-it, the structure checks over every listed maximum set, the constructive maximum set, the
-per-edge mu3 loop, exact k-path packing and cover searches on forests, and definition-level
-k-path searches on arbitrary graphs."""
+constructor, the dissociation-set test, the subset scan for every maximum dissociation set,
+a second counting DP with its own state layout, per-query oracles for the vertex classes and
+the critical edges built on it, the structure checks over every listed maximum set, the
+constructive maximum set, the per-edge mu3 loop, exact k-path packing and cover searches on
+forests, and definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import signal
 from contextlib import contextmanager
 from itertools import combinations, product
 
-from dissoc.dissociation import enumerate_mds, is_dissociation_set
+from dissoc.dissociation import enumerate_mds
 from dissoc.errors import GuardExceeded, TheoremViolation
 from dissoc.forest import PARENT_NONE, Forest, VertexSet, centroids, parse_edge_list
 from dissoc.kpath import _longest_path_in_mask, greedy_cover_matching
@@ -194,6 +194,18 @@ def forest_from_level_sequence_oracle(ls: LevelSequence) -> Forest:
             edges.append((stack[-1], i))
         stack.append(i)
     return Forest.from_edges(len(seq), edges)
+
+
+def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
+    """True iff the subset induces maximum degree at most one."""
+    bits = vs.bits
+    for v in vs:
+        inside = 0
+        for w in forest.adjacency[v]:
+            inside += (bits >> w) & 1
+            if inside > 1:
+                return False
+    return True
 
 
 def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int, list[VertexSet]]:
