@@ -8,7 +8,6 @@ deterministic and goes to stdout; runtime statistics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -183,14 +182,15 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION if total_failures else EXIT_OK
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["n", "trees", "max_count", "formula", "match", "failures"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def _write_csv(fh, rows: list[dict]) -> None:
+    """Replace the contents of ``fh``, the ``--csv`` file ``main`` opened for append."""
+    import csv  # only --csv needs it
+
+    fh.truncate(0)
+    fields = ["n", "trees", "max_count", "formula", "match", "failures"]
+    writer = csv.DictWriter(fh, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _cmd_extremal(args) -> int:
@@ -285,11 +285,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if getattr(args, "csv", None) is None:
+            return args.func(args)
+        # args.csv becomes the open file: a bad path fails before any work, and append
+        # mode leaves an existing file as it was until _write_csv replaces it
+        with open(args.csv, "a", newline="", encoding="utf-8") as args.csv:
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:

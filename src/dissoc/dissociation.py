@@ -22,15 +22,13 @@ Counts are plain Python integers, so they are exact at any magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationCapExceeded
 from .forest import PARENT_NONE, Forest, VertexSet
 
 
-@dataclass(frozen=True)
-class DissociationResult:
+class DissociationResult(NamedTuple):
     alpha3: int
     count: int
 

@@ -12,9 +12,8 @@ record are decoded and coded, in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dissociation import alpha3_count_steps
 from .errors import GuardExceeded
@@ -115,8 +114,7 @@ def generate_extremal_family(n: int) -> list[Forest]:
     return _dedupe(trees)
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     n: int
     formula_value: int
     predicted_codes: tuple[CanonicalCode, ...]

@@ -9,7 +9,8 @@ first use and cached. Centroids and an AHU code rooted at the centroid
 trees; the code folds a reversed BFS and holds only the open frontier,
 O(n) bytes, though copying them costs O(n * depth). ``Forest.from_edges``
 validates the edges of every input but a validated level sequence, which
-``treegen`` decodes directly as a tree.
+``treegen`` decodes directly as a tree. ``Forest`` and ``VertexSet`` refuse
+field assignment; they compare and hash by their fields, never by the cache.
 
 Edge-list text format: one edge per line as two whitespace-separated
 labels, ``#`` starts a comment, and ``vertex <label>`` declares an
@@ -19,9 +20,8 @@ appearance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 
@@ -36,12 +36,39 @@ class _EdgeError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class _Frozen:
+    """Record over the attributes named in ``_fields``: compared, hashed and shown
+    by them alone; ``__init__`` fills ``__dict__``, and assignment is refused."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class VertexSet(_Frozen):
     """Bit-indexed vertex subset over 0..n-1."""
 
-    bits: int
-    n: int
+    _fields = ("bits", "n")
+
+    def __init__(self, bits: int, n: int) -> None:
+        d = self.__dict__
+        d["bits"], d["n"] = bits, n
 
     @classmethod
     def from_iterable(cls, n: int, members: Iterable[int]) -> "VertexSet":
@@ -66,14 +93,20 @@ class VertexSet:
         return iter([v for v, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1"])
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(_Frozen):
     """Undirected simple acyclic graph on vertices 0..n-1."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("n", "edges", "adjacency", "labels")
+
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        adjacency: tuple[tuple[int, ...], ...],
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["n"], d["edges"], d["adjacency"], d["labels"] = n, edges, adjacency, labels
 
     @classmethod
     def from_edges(
@@ -203,8 +236,7 @@ def centroids(forest: Forest) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Relabeling-invariant identity of a tree; equal codes iff isomorphic."""
 
     code: bytes

@@ -20,8 +20,8 @@ the k-path cover algorithm of Bresar, Kardos, Katrenic and Semanisin,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import GuardExceeded, TheoremViolation
 from .forest import PARENT_NONE, Forest, VertexSet
@@ -29,19 +29,14 @@ from .forest import PARENT_NONE, Forest, VertexSet
 ALPHA_BRUTE_LIMIT = 26
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """Vertex-disjoint k-paths, each an ordered vertex list."""
 
     k: int
     paths: tuple[tuple[int, ...], ...]
 
-    def __len__(self) -> int:
-        return len(self.paths)
 
-
-@dataclass(frozen=True)
-class CoverMatchingCertificate:
+class CoverMatchingCertificate(NamedTuple):
     """Equal-size k-vertex-cover / k-matching pair for one forest."""
 
     cover: VertexSet

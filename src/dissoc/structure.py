@@ -40,8 +40,7 @@ only when every set adds exactly 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dissociation import _classes, _rerooted
 from .errors import TheoremViolation
@@ -51,8 +50,7 @@ from .kpath import CoverMatchingCertificate, alpha_k_brute, mu3_edge_deletions, 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CriticalStructure:
+class CriticalStructure(NamedTuple):
     """What one rerooting pass tells about a forest.
 
     ``insulated_edges`` and ``critical_triples`` are None when some critical
@@ -74,15 +72,13 @@ class CriticalStructure:
     missed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     flexible: VertexSet
     static_included: VertexSet
     static_excluded: VertexSet
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     status: str  # "pass" | "fail" | "skipped"
     witness: str | None = None
 

@@ -19,28 +19,25 @@ decodes a uniform random one.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import random
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .forest import PARENT_NONE, Forest
+from .forest import PARENT_NONE, Forest, _Frozen
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class LevelSequence:
+class LevelSequence(_Frozen):
     """DFS preorder levels of a rooted tree; the root has level 1."""
 
-    seq: tuple[int, ...]
+    _fields = ("seq",)
 
-    def __post_init__(self) -> None:
-        _check_levels(self.seq, 0)
+    def __init__(self, seq: tuple[int, ...]) -> None:
+        _check_levels(seq, 0)
+        self.__dict__["seq"] = seq
 
     def parents(self) -> list[int]:
         """Parent of vertex i, the i-th preorder visit: the last vertex seen one
@@ -146,6 +143,8 @@ def map_free_trees(
     if jobs <= 1:
         yield from map(fn, items)
         return
+    import multiprocessing  # only a pool needs it, and it takes about 11 ms to import
+
     with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(fn, items, chunksize=chunksize)
 

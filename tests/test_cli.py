@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from collections import Counter
@@ -170,6 +169,27 @@ def test_verify_small(capsys, tmp_path):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("argv, where", [
+    (("verify", "--n-max", "2"), "missing/x.csv"),
+    (("extremal", "--n", "9", "--sweep"), "missing/x.csv"),
+    (("verify", "--n-max", "2"), "."),  # a directory
+])
+def test_unwritable_csv_path_fails_before_any_work(capsys, tmp_path, argv, where):
+    code, out, err = run(capsys, *argv, "--csv", str(tmp_path / where))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_csv_keeps_an_existing_file_until_the_rows_are_written(capsys, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("old\n" * 100)
+    assert run(capsys, "verify", "--n-max", "19", "--csv", str(csv_path))[0] == 2
+    assert csv_path.read_text() == "old\n" * 100
+    assert run(capsys, "verify", "--n-max", "2", "--csv", str(csv_path))[0] == 0
+    assert csv_path.read_text().splitlines() == [
+        "n,trees,max_count,formula,match,failures", "1,1,1,1,True,0", "2,1,1,1,True,0"]
+
+
 def test_verify_determinism_across_jobs(capsys):
     _, out1, _ = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
     _, out2, _ = run(capsys, "verify", "--n-max", "8", "--jobs", "2")
@@ -300,8 +320,7 @@ def test_analyze_reports_a_grouping_failure(capsys, monkeypatch, lt8_file):
     witness = "critical component with 3 edges: [(0, 1), (1, 2), (2, 3)]"
 
     def ungrouped(forest):
-        return dataclasses.replace(
-            critical_structure(forest),
+        return critical_structure(forest)._replace(
             insulated_edges=None,
             critical_triples=None,
             grouping_failure=witness,

@@ -1,0 +1,141 @@
+"""The package surface: record behaviour, what importing loads, and the README example."""
+
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dissoc
+from dissoc import (
+    CheckResult,
+    DissociationResult,
+    VertexClassification,
+    alpha3_count_dp,
+    critical_structure,
+    exhaustive_extremal_check,
+    greedy_cover_matching,
+)
+from dissoc.forest import CanonicalCode, Forest, VertexSet, canonical_code, parse_edge_list
+from dissoc.kpath import CoverMatchingCertificate, PathFamily
+from dissoc.treegen import LevelSequence
+
+SRC = Path(dissoc.__file__).resolve().parent.parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+P3 = parse_edge_list("a b\nb c")
+P3_STRUCTURE = (
+    "CriticalStructure(critical_edges=((0, 1), (1, 2)), insulated_edges=(), "
+    "critical_triples=((0, 1, 2),), eta=2, grouping_failure=None, alpha3=2, count=3, "
+    "classes=VertexClassification(flexible=VertexSet(bits=7, n=3), "
+    "static_included=VertexSet(bits=0, n=3), static_excluded=VertexSet(bits=0, n=3)), "
+    "containing=(2, 2, 2), missed=(0, 0))"
+)
+
+
+def _records():
+    """(record, its repr text, an equal record built apart, one that differs in a field)."""
+    s = critical_structure(P3)
+    report = exhaustive_extremal_check(4)
+    code = CanonicalCode(b"((())())")
+    return [
+        (P3, "Forest(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0, 2), (1,)), "
+             "labels=('a', 'b', 'c'))",
+         Forest(3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,)), ("a", "b", "c")),
+         Forest(3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,)))),
+        (VertexSet(7, 3), "VertexSet(bits=7, n=3)", VertexSet.from_iterable(3, [2, 1, 0]),
+         VertexSet(7, 4)),
+        (LevelSequence((1, 2, 2)), "LevelSequence(seq=(1, 2, 2))", LevelSequence((1, 2, 2)),
+         LevelSequence((1, 2, 3))),
+        (canonical_code(P3), "CanonicalCode(code=b'(()())')", CanonicalCode(b"(()())"), code),
+        (alpha3_count_dp(P3), "DissociationResult(alpha3=2, count=3)", DissociationResult(2, 3),
+         DissociationResult(2, 4)),
+        (s, P3_STRUCTURE, critical_structure(parse_edge_list("x y\ny z")), s._replace(eta=1)),
+        (s.classes, "VertexClassification(flexible=VertexSet(bits=7, n=3), "
+         "static_included=VertexSet(bits=0, n=3), static_excluded=VertexSet(bits=0, n=3))",
+         VertexClassification(VertexSet(7, 3), VertexSet(0, 3), VertexSet(0, 3)),
+         VertexClassification(VertexSet(7, 3), VertexSet(0, 3), VertexSet(1, 3))),
+        (CheckResult("pass"), "CheckResult(status='pass', witness=None)",
+         CheckResult(status="pass", witness=None), CheckResult("fail", "w")),
+        (greedy_cover_matching(P3, 2), "CoverMatchingCertificate(cover=VertexSet(bits=2, n=3), "
+         "matching=PathFamily(k=2, paths=((1, 2),)), k=2)",
+         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((1, 2),)), 2),
+         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((0, 1),)), 2)),
+        (report, f"ExtremalReport(n=4, formula_value=2, predicted_codes=({code!r},), "
+         f"observed_max=2, extremal_codes=({code!r},), match=True, characterized=False, "
+         f"trees_scanned=2, note='record holders at n=4 are not characterized; only the "
+         f"record value is compared')",
+         exhaustive_extremal_check(4), report._replace(note="")),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record, text, same, other", RECORDS,
+                         ids=[type(r[0]).__name__ for r in RECORDS])
+def test_record_repr_eq_and_hash(record, text, same, other):
+    assert repr(record) == text
+    assert record == same and hash(record) == hash(same)
+    assert record != other
+    # hashed over the field values in order, as the frozen dataclasses were
+    assert hash(record) == hash(tuple(getattr(record, f) for f in record._fields))
+
+
+def test_forest_equality_ignores_the_cached_bfs():
+    cached, fresh = parse_edge_list("a b\nb c"), parse_edge_list("a b\nb c")
+    assert cached.is_tree  # caches bfs too
+    assert "bfs" in vars(cached) and "bfs" not in vars(fresh)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+
+
+@pytest.mark.parametrize("record, field", [
+    (P3, "n"), (P3, "labels"), (P3, "bfs"), (VertexSet(5, 3), "bits"),
+    (LevelSequence((1, 2)), "seq"), (alpha3_count_dp(P3), "count"), (CheckResult("pass"), "status"),
+])
+def test_fields_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def test_pickle_round_trip_of_a_forest_with_its_bfs_cached():
+    forest = parse_edge_list("a b\nb c\nb d")
+    order_parent = forest.bfs
+    back = pickle.loads(pickle.dumps(forest))
+    assert back == forest and hash(back) == hash(forest)
+    assert back.labels == ("a", "b", "c", "d") and back.bfs == order_parent
+    with pytest.raises(AttributeError):
+        back.n = 5
+    for record in (VertexSet(5, 3), LevelSequence((1, 2, 2)), critical_structure(forest)):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_import_loads_every_module_and_no_optional_dependency():
+    # a fresh interpreter: under pytest, plugins may have loaded these already
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import dissoc.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert not loaded & {"multiprocessing", "csv", "dataclasses", "inspect"}
+    ours = {f"dissoc.{p.stem}" for p in (SRC / "dissoc").glob("*.py") if p.stem != "__init__"}
+    assert len(ours) == 8 and ours <= loaded, ours - loaded
+
+
+def test_readme_library_example():
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    ns: dict = {}
+    exec(block, ns)
+    assert repr(ns["res"]) == "DissociationResult(alpha3=3, count=1)"
+    assert ns["struct"].containing == (1, 0, 1, 1)
+    assert repr(ns["checks"]["kke k=3"]) == "CheckResult(status='pass', witness=None)"
+    assert ns["report"].n == 9 and ns["report"].trees_scanned == 47
+    for comment, name in (("# DissociationResult(alpha3=3, count=1)", "res ="),
+                          ("# (1, 0, 1, 1)", "struct.containing"),
+                          ("# CheckResult(status='pass', witness=None)", 'checks["kke k=3"]'),
+                          ("all 47 trees of order 9", "report =")):
+        assert any(name in line and comment in line for line in block.splitlines()), comment

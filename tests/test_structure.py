@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -238,7 +237,7 @@ def test_count_checks_fail_on_a_wrong_membership_count():
     for (v, part), delta in itertools.product(parts, (1, -1)):
         containing = list(s.containing)
         containing[v] += delta
-        rep = verify_structure_theorems(t, dataclasses.replace(s, containing=tuple(containing)))
+        rep = verify_structure_theorems(t, s._replace(containing=tuple(containing)))
         assert rep["mds_meets_exact_pattern"].status == "fail", (v, delta)
         assert str(part) in rep["mds_meets_exact_pattern"].witness, (v, delta)
         assert rep["every_mds_hits_each_critical_edge"].status == "pass"
@@ -250,7 +249,7 @@ def test_count_checks_fail_on_a_missed_critical_edge():
     for i, e in enumerate(s.critical_edges):
         missed = [0] * len(s.missed)
         missed[i] = 1
-        rep = verify_structure_theorems(t, dataclasses.replace(s, missed=tuple(missed)))
+        rep = verify_structure_theorems(t, s._replace(missed=tuple(missed)))
         assert rep["every_mds_hits_each_critical_edge"] == CheckResult(
             "fail", f"1 maximum sets hold neither end of critical edge {e}"
         )
@@ -289,8 +288,7 @@ def test_rerooted_structure_matches_oracles_on_forests_with_isolated_vertices():
 
 def test_grouping_failure_fails_one_check_and_skips_the_grouped_ones():
     witness = "critical component with 3 edges: [(0, 1), (1, 2), (2, 3)]"
-    s = dataclasses.replace(
-        critical_structure(path(3)),
+    s = critical_structure(path(3))._replace(
         insulated_edges=None,
         critical_triples=None,
         grouping_failure=witness,
