@@ -6,11 +6,11 @@ rooted component are best, excluded, and included with no partner yet
 inside its subtree, each a (best size, number of optimum sets) pair. A
 vertex included together with an included child consumes that child's
 partner-free record, and at most one such child is allowed. Include and
-exclude bit masks force vertices in or out. Two folds close the records
-bottom-up with one step: ``_down`` over a parent array into the flat lists
-the masks and the up pass need, and ``alpha3_count_steps`` over level
-sequences on a stack that keeps every prefix, so a sweep pays only for
-the suffix each sequence changed. ``_rerooted`` adds an up pass giving
+exclude bit masks force vertices in or out. ``_down`` closes the records
+bottom-up over a parent array into the flat lists the masks and the up
+pass need; the extremal sweep carries the one other copy of its child
+and close steps, without masks, to fold tabulated records of rooted
+subtrees with no tree built. ``_rerooted`` adds an up pass giving
 the records of every vertex over its component and of both sides of every
 edge in O(n); vertex classes (``_classes``), critical edges, the number
 of maximum sets holding each vertex and the enumeration of all maximum
@@ -22,7 +22,7 @@ Counts are plain Python integers, so they are exact at any magnitude.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import EnumerationCapExceeded
 from .forest import PARENT_NONE, Forest, VertexSet
@@ -36,36 +36,6 @@ class DissociationResult(NamedTuple):
 def alpha3_count_dp(tree: Forest) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
     return DissociationResult(*_optimum(*tree.bfs))
-
-
-def alpha3_count_steps(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[int, int]]:
-    """Alpha3 and count of each level sequence (all of one order) of ``steps`` ``(first,
-    seq)``, resuming from the stack of ``_down`` records kept after vertex ``first - 1``."""
-    base = (0, 0, 0, 1, 0, 1, None)  # the root's parent: its excluded fold ends as the root's best
-    kept: list[tuple] = []  # kept[i]: the top after vertex i; a close copies, never mutates
-    for first, seq in steps:
-        none = -len(seq) - 1
-        del kept[first:]
-        i = len(kept)  # the first position to redo, 0 on a fresh stack
-        node, depth = (kept[-1], seq[i - 1]) if i else (base, 0)
-        for level in (*seq[i:], 1):  # the last level 1 closes the root into base
-            while depth >= level:  # the close step of ``_down``, without masks
-                b_s, b_w, x_s, x_w, u_s, u_w, parent = node
-                u_s, b_s = u_s + 1, b_s + 1
-                if u_s >= b_s:
-                    b_s, b_w = u_s, u_w if u_s > b_s else b_w + u_w
-                if x_s >= b_s:
-                    b_s, b_w = x_s, x_w if x_s > b_s else b_w + x_w
-                pb_s, pb_w, px_s, px_w, pu_s, pu_w, grand = parent
-                m_s, m_w, o_s, o_w = pb_s + x_s, pb_w * x_w, pu_s + u_s, pu_w * u_w
-                if o_s >= m_s:
-                    m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
-                node = m_s, m_w, px_s + b_s, px_w * b_w, pu_s + x_s, pu_w * x_w, grand
-                depth -= 1
-            node, depth = (none, 0, 0, 1, 0, 1, node), level
-            kept.append(node)
-        kept.pop()  # the node of the last level 1 is no vertex
-        yield node[6][2], node[6][3]
 
 
 def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int | None:

@@ -3,22 +3,25 @@
 The closed-form record value depends on n mod 3, and the record holders
 are spider-like trees S*(...) built by gluing one designated leaf of each
 leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
-counts the level sequence of every isomorphism class of the given order
-and compares the observed record and holders against the prediction: each
-chunk of walk steps gets one prefix-sharing count and reports its record
-and the level sequences reaching it, and only the holders of the overall
-record are decoded and coded, in one pass.
+counts every isomorphism class of the given order and compares the
+observed record and holders against the prediction. Every free tree is
+its centroid plus a multiset of rooted subtrees (Otter, 1948; Jordan's
+centroid theorem), so the sweep first tabulates the closed DP records of
+all rooted trees of order at most n/2, then folds the centroid's children
+from that table depth first: one child step, amortized, and one close
+per tree, with no tree built. Each block of trees, keyed by its largest
+child, reports its record and the index paths reaching it, and only the
+holders of the overall record are decoded and coded, in one pass.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .dissociation import alpha3_count_steps
 from .errors import GuardExceeded
 from .forest import CanonicalCode, Forest, canonical_code
-from .treegen import LevelSequence, forest_from_level_sequence, map_free_trees, walk_chunks
+from .treegen import LevelSequence, forest_from_level_sequence, map_free_trees
 
 SWEEP_LIMIT = 18
 
@@ -126,15 +129,109 @@ class ExtremalReport(NamedTuple):
     note: str = ""
 
 
-def _chunk_record(chunk) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(trees, record, level sequences at the record) of a chunk of walk steps."""
-    best, holders = -1, []
-    for (_, seq), (_, count) in zip(chunk, alpha3_count_steps(chunk)):
+def _close(fold: tuple) -> tuple:
+    """Close a vertex over the fold of its children: its records best, excluded and
+    unmatched, each (size, count). The close step of ``dissociation._down``, without masks."""
+    b_s, b_w, x_s, x_w, u_s, u_w = fold
+    u_s, b_s = u_s + 1, b_s + 1
+    if u_s >= b_s:
+        b_s, b_w = u_s, u_w if u_s > b_s else b_w + u_w
+    if x_s >= b_s:
+        b_s, b_w = x_s, x_w if x_s > b_s else b_w + x_w
+    return b_s, b_w, x_s, x_w, u_s, u_w
+
+
+def _multisets(table, fold, rem: int, lo: int, hi: int) -> Iterator[tuple[list[int], tuple]]:
+    """Every multiset of table entries whose orders sum to ``rem``, as the index list
+    ``path``, non-increasing, its first index in [lo, hi] (entries of order at most
+    ``rem``): yields (path, ``fold`` with
+    the closed record of each entry added as a child), depth first. One fold step per
+    node, so amortized about one per multiset. Iterative: an explicit stack, no recursion.
+    The yielded path is the live list; copy it to keep it."""
+    sizes, records, _, ends = table
+    path: list[int] = []
+    stack: list[tuple] = []
+    cands = iter(range(hi, lo - 1, -1))
+    while True:
+        b_s, b_w, x_s, x_w, u_s, u_w = fold
+        for c in cands:  # the child step of ``dissociation._down``, without masks
+            cb_s, cb_w, cx_s, cx_w, cu_s, cu_w = records[c]
+            m_s, m_w, o_s, o_w = b_s + cx_s, b_w * cx_w, u_s + cu_s, u_w * cu_w
+            if o_s >= m_s:
+                m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
+            child = m_s, m_w, x_s + cb_s, x_w * cb_w, u_s + cx_s, u_w * cx_w
+            left = rem - sizes[c]
+            path.append(c)
+            if not left:
+                yield path, child
+                path.pop()
+                continue
+            stack.append((fold, rem, cands))
+            fold, rem, cands = child, left, iter(range(min(c, ends[left] - 1), -1, -1))
+            break
+        else:
+            if not stack:
+                return
+            fold, rem, cands = stack.pop()
+            path.pop()
+
+
+def _rooted_table(n: int):
+    """Every rooted tree of order at most n/2, as a root plus a multiset of smaller
+    entries, by order (A000081 of each). Returns the table for the sweep of order n
+    (sizes, closed records, folds of the children before the close, and ends[k]: the
+    number of entries of order at most k, for k < n) and the level sequence of each
+    entry. An infeasible state has size -n-1, so every sum holding it stays negative."""
+    sizes, folds, seqs, ends = [1], [(-n - 1, 0, 0, 1, 0, 1)], [(1,)], [0, 1]
+    records = [_close(folds[0])]
+    table = sizes, records, folds, ends
+    for k in range(2, n // 2 + 1):
+        # the multisets read only entries of order below k, so appending is safe
+        for path, fold in _multisets(table, folds[0], k - 1, 0, ends[k - 1] - 1):
+            sizes.append(k)
+            folds.append(fold)
+            records.append(_close(fold))
+            seqs.append(_levels(seqs, 0, path))
+        ends.append(len(sizes))
+    ends += [len(sizes)] * (n - len(ends))
+    return table, seqs
+
+
+def _sweep_blocks(n: int, table) -> list[tuple]:
+    """The blocks of the sweep of order n, each (table, base, lo, hi, rem): the trees
+    ``base`` plus a multiset of ``_multisets(table, folds[base], rem, lo, hi)``.
+
+    A free tree with one centroid is that vertex plus a multiset of rooted trees of
+    order at most (n-1)/2 summing to n-1, one block per largest child. One with two
+    centroids (n even) is an unordered pair {T1, T2} of rooted trees of order n/2,
+    T2 a child of T1's root, one block per T1. By Jordan's centroid theorem every
+    free tree of order n is in exactly one block, once.
+    """
+    _, _, _, ends = table
+    blocks = [(table, 0, c, c, n - 1) for c in reversed(range(ends[(n - 1) // 2]))]
+    if n % 2 == 0:
+        half = ends[n // 2 - 1]
+        blocks += [(table, t1, half, t1, n // 2) for t1 in reversed(range(half, ends[n // 2]))]
+    return blocks
+
+
+def _block_record(block) -> tuple[int, int, list[tuple[int, tuple[int, ...]]]]:
+    """(trees, record, holders (base, child indices) at the record) of a block."""
+    table, base, lo, hi, rem = block
+    trees, best, holders = 0, -1, []
+    for path, fold in _multisets(table, table[2][base], rem, lo, hi):
+        trees += 1
+        count = _close(fold)[1]
         if count > best:
-            best, holders = count, [seq]
+            best, holders = count, [(base, tuple(path))]
         elif count == best:
-            holders.append(seq)
-    return len(chunk), best, holders
+            holders.append((base, tuple(path)))
+    return trees, best, holders
+
+
+def _levels(seqs, base: int, path: Sequence[int]) -> tuple[int, ...]:
+    """The levels of entry ``base`` with the entries of ``path`` added as children."""
+    return seqs[base] + tuple([level + 1 for c in path for level in seqs[c]])
 
 
 def _family_note(n: int) -> str:
@@ -154,15 +251,17 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
         raise GuardExceeded(f"sweep limited to n <= {guard}, got {n}")
     formula = max_mds_formula(n)
     predicted = tuple(canonical_code(t) for t in generate_extremal_family(n))
+    table, seqs = _rooted_table(n)
     best, holders, scanned = -1, [], 0
-    for trees, record, seqs in map_free_trees(walk_chunks(n, 64), _chunk_record, jobs):
-        scanned += trees  # 64 walk steps per chunk
+    # 16 blocks a task, so a pool pickles the table once per task, not once per block
+    for trees, record, found in map_free_trees(_sweep_blocks(n, table), _block_record, jobs, 16):
+        scanned += trees
         if record > best:
-            best, holders = record, seqs
+            best, holders = record, found
         elif record == best:
-            holders += seqs
-    observed = tuple(sorted(
-        canonical_code(forest_from_level_sequence(LevelSequence(seq))) for seq in holders))
+            holders += found
+    trees = (forest_from_level_sequence(LevelSequence(_levels(seqs, *h))) for h in holders)
+    observed = tuple(sorted(canonical_code(t) for t in trees))
     characterized = n != 4
     match = best == formula
     if characterized:

@@ -10,8 +10,8 @@ first root subtree must not be taller, larger, or lexicographically later
 than the rest of the tree). ``_walk`` rewrites one list in place and
 re-reads only the suffix each step wrote, in constant amortized time per
 tree. ``forest_from_level_sequence`` decodes a sequence's parent array
-(``LevelSequence.parents``). ``map_free_trees`` drives sweeps over trees,
-sequences or walk chunks, in this process or in a pool.
+(``LevelSequence.parents``). ``map_free_trees`` drives sweeps over trees
+or blocks of trees, in this process or in a pool.
 
 Labeled trees come from Pruefer sequences: ``random_labeled_tree``
 decodes a uniform random one.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 from heapq import heapify, heappop, heappush
-from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .forest import PARENT_NONE, Forest, _Frozen
@@ -118,12 +117,6 @@ def level_sequences(n: int) -> Iterator[LevelSequence]:
         yield LevelSequence(tuple(seq))
 
 
-def walk_chunks(n: int, size: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
-    """The steps of the walk of order n, ``(first, levels)``, in lists of ``size``."""
-    steps = ((first, tuple(seq)) for first, seq in _walk(n))
-    return iter(lambda: list(islice(steps, size)), [])
-
-
 def free_trees(n: int) -> Iterator[Forest]:
     """One representative tree per isomorphism class of order n."""
     for ls in level_sequences(n):
@@ -133,7 +126,7 @@ def free_trees(n: int) -> Iterator[Forest]:
 def map_free_trees(
     items: Iterable[T], fn: Callable[[T], R], jobs: int = 1, chunksize: int = 1
 ) -> Iterator[R]:
-    """``fn`` of every item, in order: trees, level sequences or walk chunks of an order.
+    """``fn`` of every item, in order: the trees of an order or blocks of them.
 
     With ``jobs`` > 1 the items go to a pool of worker processes, at most
     one per CPU; ``fn`` must then be picklable (a module-level function or

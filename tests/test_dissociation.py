@@ -9,7 +9,6 @@ from dissoc import dissociation
 from dissoc.dissociation import (
     _rerooted,
     alpha3_count_dp,
-    alpha3_count_steps,
     alpha3_forced,
     enumerate_mds,
 )
@@ -17,14 +16,11 @@ from dissoc.errors import EnumerationCapExceeded, GuardExceeded
 from dissoc.extremal import lt8, star_construction
 from dissoc.forest import PARENT_NONE, Forest, VertexSet
 from dissoc.treegen import (
-    LevelSequence,
-    _walk,
     forest_from_level_sequence,
     free_trees,
     level_sequences,
     pruefer_decode,
     random_labeled_tree,
-    walk_chunks,
 )
 
 from util import (
@@ -100,43 +96,7 @@ def test_level_sequence_count_matches_decoded_tree_and_oracle():
         assert all(p < v for v, p in enumerate(parent)), ls.seq  # parents come first
         assert sorted((p, v) for v, p in enumerate(parent) if p != PARENT_NONE) == list(tree.edges)
         r = alpha3_count_dp(forest_from_level_sequence(ls))
-        assert next(alpha3_count_steps([(0, ls.seq)])) == (r.alpha3, r.count), ls.seq
         assert (r.alpha3, r.count) == dp_forest(tree), ls.seq
-
-
-def _forest_counts(sequences):
-    """(alpha3, count) of each sequence from its decoded tree, checked against the
-    second DP on the oracle decode."""
-    counts = []
-    for seq in sequences:
-        ls = LevelSequence(tuple(seq))
-        r = alpha3_count_dp(forest_from_level_sequence(ls))
-        assert (r.alpha3, r.count) == dp_forest(forest_from_level_sequence_oracle(ls)), ls.seq
-        counts.append((r.alpha3, r.count))
-    return counts
-
-
-def test_step_fold_matches_forest_counts_on_the_walk():
-    # the fold keeps the prefix the walk did not write; chunks restart it
-    for n in range(1, 16):
-        steps = [(first, tuple(seq)) for first, seq in _walk(n)]
-        want = _forest_counts(seq for _, seq in steps)
-        assert list(alpha3_count_steps(steps)) == want, n
-        for size in (1, 2, 64):
-            chunked = [c for chunk in walk_chunks(n, size) for c in alpha3_count_steps(chunk)]
-            assert chunked == want, (n, size)
-
-
-def test_step_fold_matches_forest_counts_in_any_order():
-    # every sequence of an order in depth-first order, not the walk's, with
-    # first the first index that differs from the previous sequence
-    for n in range(1, 11):
-        sequences = [ls.seq for ls in every_level_sequence(n)]
-        steps = [(0, sequences[0])] + [
-            (next(i for i, (a, b) in enumerate(zip(prev, seq)) if a != b), seq)
-            for prev, seq in zip(sequences, sequences[1:])
-        ]
-        assert list(alpha3_count_steps(steps)) == _forest_counts(sequences), n
 
 
 def test_dp_on_forests_multiplies_component_counts():

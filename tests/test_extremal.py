@@ -10,10 +10,11 @@ from dissoc.extremal import (
     max_mds_formula,
     star_construction,
 )
-from dissoc.forest import Forest, canonical_code
+from dissoc.forest import Forest, canonical_code, centroids
 from dissoc.structure import classify_vertices, critical_structure
+from dissoc.treegen import LevelSequence
 
-from util import path, star
+from util import _next_rooted, dp_forest, forest_from_level_sequence_oracle, path, star
 
 
 def test_formula_values():
@@ -115,21 +116,22 @@ def test_exhaustive_check_guards():
 
 
 def test_sweep_agrees_across_job_counts():
-    # 235 trees, more than one chunk of 64, so the pool splits them between workers
-    a = exhaustive_extremal_check(11, jobs=1)
-    b = exhaustive_extremal_check(11, jobs=2)
-    assert a == b
+    # 17 blocks at n=11 and 37 at n=12, 20 of them two-centroid pairs, sent 16 to a
+    # task, so the pool splits them between two workers
+    for n in (11, 12):
+        assert exhaustive_extremal_check(n, jobs=1) == exhaustive_extremal_check(n, jobs=2), n
 
 
 def test_sweep_builds_each_tree_once(monkeypatch):
-    # the sweep counts every level sequence once without decoding it, validates
-    # no tree, and decodes and codes only the trees whose count reaches the formula
+    # the sweep counts every tree once without building it, validates no tree,
+    # and decodes and codes only the trees whose count reaches the formula
     build = Forest.from_edges.__func__
     decode = treegen.forest_from_level_sequence
     code = extremal.canonical_code
-    steps = extremal.alpha3_count_steps
+    multisets, block_record = extremal._multisets, extremal._block_record
     validated = 0
-    counted: list[tuple[int, ...]] = []
+    in_block = False
+    counted: list[tuple[int, tuple[int, ...]]] = []
     decoded: dict[int, Forest] = {}  # holding each tree keeps its id unique
     coded_decoded = 0
 
@@ -148,10 +150,20 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         coded_decoded += id(tree) in decoded
         return code(tree)
 
-    def counting_steps(chunk):
-        for (_, seq), result in zip(chunk, steps(chunk)):
-            counted.append(tuple(seq))
-            yield result
+    def counting_block_record(block):
+        nonlocal in_block
+        in_block = True
+        try:
+            return block_record(block)
+        finally:
+            in_block = False
+
+    def counting_multisets(table, fold, rem, lo, hi):
+        for path, child in multisets(table, fold, rem, lo, hi):
+            if in_block:  # a tree of the sweep, not an entry of the table
+                base = next(i for i, f in enumerate(table[2]) if f is fold)
+                counted.append((base, tuple(path)))
+            yield path, child
 
     formula = max_mds_formula(9)
     holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(9))
@@ -161,11 +173,118 @@ def test_sweep_builds_each_tree_once(monkeypatch):
     for module in (treegen, extremal):
         monkeypatch.setattr(module, "forest_from_level_sequence", counting_decode)
     monkeypatch.setattr(extremal, "canonical_code", counting_code)
-    monkeypatch.setattr(extremal, "alpha3_count_steps", counting_steps)
+    monkeypatch.setattr(extremal, "_block_record", counting_block_record)
+    monkeypatch.setattr(extremal, "_multisets", counting_multisets)
     report = exhaustive_extremal_check(9)
     assert report.trees_scanned == len(counted) == len(set(counted)) == 47
     assert validated == family_builds
     assert len(decoded) == coded_decoded == holders == len(report.extremal_codes) == 1
+    monkeypatch.undo()
+    _, seqs = extremal._rooted_table(9)
+    codes = {canonical_code(_decode(seqs, *tree)) for tree in counted}
+    assert len(codes) == 47
+
+
+A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766)
+
+
+def _rooted_form(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The level sequence of the same rooted tree with the root's subtrees, and theirs,
+    in decreasing order: equal exactly for isomorphic rooted trees."""
+    starts = [i for i, level in enumerate(seq) if level == 2] + [len(seq)]
+    subtrees = [_rooted_form(tuple(v - 1 for v in seq[a:b])) for a, b in zip(starts, starts[1:])]
+    return (1,) + tuple(v + 1 for sub in sorted(subtrees, reverse=True) for v in sub)
+
+
+def _rooted_trees_oracle(k: int) -> set[tuple[int, ...]]:
+    """Every rooted tree of order k from the rooted successor walk of the test oracles."""
+    seq, found = list(range(1, k + 1)), set()
+    while seq is not None:
+        found.add(_rooted_form(tuple(seq)))
+        seq = _next_rooted(seq) if k > 1 else None
+    return found
+
+
+def test_rooted_table_holds_every_rooted_tree_once_with_its_records():
+    # the table of the sweep of order 24 holds the rooted trees of order 1..12; the
+    # records of each entry are checked against the second DP on an independent decode
+    (sizes, records, folds, ends), seqs = extremal._rooted_table(24)
+    assert [ends[k] - ends[k - 1] for k in range(1, 13)] == list(A000081)
+    assert ends[23] == len(sizes) == len(records) == len(folds) == len(seqs) == sum(A000081)
+    for k in range(1, 13):
+        forms = [_rooted_form(seqs[i]) for i in range(ends[k - 1], ends[k])]
+        assert all(len(f) == k for f in forms)
+        assert len(set(forms)) == len(forms) and set(forms) == _rooted_trees_oracle(k), k
+    for seq, record in zip(seqs, records):
+        ls = LevelSequence(seq)
+        r = alpha3_count_dp(treegen.forest_from_level_sequence(ls))
+        assert record[:2] == (r.alpha3, r.count), seq
+        tree = forest_from_level_sequence_oracle(ls)
+        children = sum(1 << v for v in tree.adjacency[0])
+        assert record[:2] == dp_forest(tree), seq
+        assert record[2:4] == dp_forest(tree, exclude_bits=1), seq  # root excluded
+        assert record[4:] == dp_forest(tree, include_bits=1, exclude_bits=children), seq
+
+
+def _decode(seqs, base: int, path) -> Forest:
+    return treegen.forest_from_level_sequence(LevelSequence(extremal._levels(seqs, base, path)))
+
+
+def _sweep_trees(n: int):
+    """(block, level sequence, (alpha3, count)) of every tree the sweep of order n folds."""
+    table, seqs = extremal._rooted_table(n)
+    for block in extremal._sweep_blocks(n, table):
+        _, base, lo, hi, rem = block
+        for path, fold in extremal._multisets(table, table[2][base], rem, lo, hi):
+            ls = LevelSequence(extremal._levels(seqs, base, path))
+            yield block, ls, extremal._close(fold)[:2]
+
+
+def test_sweep_visits_every_free_tree_once():
+    # one centroid: the root, a bare vertex; two: the root of T1 and of T2, its last child
+    for n in range(3, 13):
+        codes = []
+        for (_, base, _, _, _), ls, _ in _sweep_trees(n):
+            tree = treegen.forest_from_level_sequence(ls)
+            codes.append(canonical_code(tree))
+            assert centroids(tree) == ((0,) if base == 0 else (0, n // 2)), tree.edges
+        assert sorted(codes) == sorted(canonical_code(t) for t in treegen.free_trees(n)), n
+
+
+def test_sweep_counts_match_the_dp_on_every_tree():
+    for n in range(3, 16):
+        trees = 0
+        for _, ls, count in _sweep_trees(n):
+            trees += 1
+            r = alpha3_count_dp(treegen.forest_from_level_sequence(ls))
+            assert count == (r.alpha3, r.count), ls.seq
+            assert count == dp_forest(forest_from_level_sequence_oracle(ls)), ls.seq
+        assert trees == treegen.free_tree_count(n), n
+
+
+def test_blocks_make_up_the_whole_sweep():
+    # each block's trees, record and holders, merged, are those of one pass over all trees
+    for n in range(3, 15):
+        table, seqs = extremal._rooted_table(n)
+        results = [extremal._block_record(block) for block in extremal._sweep_blocks(n, table)]
+        counts = [alpha3_count_dp(t).count for t in treegen.free_trees(n)]
+        record = max(counts)
+        assert sum(trees for trees, _, _ in results) == len(counts), n
+        assert max(best for _, best, _ in results) == record, n
+        holders = [h for _, best, found in results if best == record for h in found]
+        codes = map(canonical_code, treegen.free_trees(n))
+        want = [code for code, count in zip(codes, counts) if count == record]
+        got = [canonical_code(_decode(seqs, *h)) for h in holders]
+        assert sorted(got) == sorted(want), n
+
+
+@pytest.mark.parametrize("n, trees, record, holders", [(19, 317955, 244, 6), (20, 823065, 243, 18)])
+def test_sweep_past_the_guard(n, trees, record, holders):
+    report = exhaustive_extremal_check(n, guard=n)
+    assert report.trees_scanned == trees
+    assert report.observed_max == record == max_mds_formula(n)
+    assert len(report.extremal_codes) == holders
+    assert report.match is True
 
 
 @pytest.mark.parametrize("n", [8, 9])
