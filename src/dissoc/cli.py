@@ -39,7 +39,7 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_VIOLATION = 3
 
-_UNUSED_CAP_HELP = "accepted and ignored: the structure checks count maximum sets, never list them"
+_UNUSED_CAP_HELP = "accepted and ignored: the structure checks never list maximum sets"
 
 
 class _UsageError(Exception):
@@ -123,7 +123,7 @@ def _cmd_enumerate(args) -> int:
     labels = [forest.label(v) for v in range(forest.n)]
     try:
         for vs in enumerate_mds(forest, cap=args.limit):
-            print(" ".join([labels[v] for v in vs]))  # a VertexSet iterates in vertex order
+            sys.stdout.write(" ".join([labels[v] for v in vs]) + "\n")  # in vertex order
     except EnumerationCapExceeded as exc:
         print(f"truncated at {exc.cap} sets", file=sys.stderr)
         return EXIT_GUARD

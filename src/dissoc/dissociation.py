@@ -10,12 +10,13 @@ exclude bit masks force vertices in or out. ``_down`` closes the records
 bottom-up over a parent array into the flat lists the masks and the up
 pass need; the extremal sweep carries the one other copy of its child
 and close steps, without masks, to fold tabulated records of rooted
-subtrees with no tree built. ``_rerooted`` adds an up pass giving
-the records of every vertex over its component and of both sides of every
-edge in O(n); vertex classes (``_classes``), critical edges, the number
-of maximum sets holding each vertex and the enumeration of all maximum
-sets read its tables. The subset-scan oracle that the tests compare
-against is not part of the package.
+subtrees with no tree built. ``_rerooted`` adds a size-only up pass
+giving the optimum sizes of every vertex over its component and of both
+sides of every edge in O(n). Whether every optimum, or none, holds a
+vertex is an existence question these sizes decide, so vertex classes
+(``_classes``), critical edges and the enumeration of all maximum sets
+read its tables; only the number of sets needs the counts of ``_down``.
+The subset-scan oracle the tests compare against is not in the package.
 
 Counts are plain Python integers, so they are exact at any magnitude.
 """
@@ -53,11 +54,15 @@ def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int
 def _optimum(order, parent, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
     """Best size and count of the optimum sets honoring the masks, from the
     down records of the component roots; (-1, 0) when infeasible."""
-    best_s, best_w, _, _, _, _ = _down(order, parent, include_bits, exclude_bits)
+    return _total(parent, _down(order, parent, include_bits, exclude_bits))
+
+
+def _total(parent, down) -> tuple[int, int]:
+    """Best size and count over the forest from the ``_down`` records of its roots."""
     size, ways = 0, 1
     for r, p in enumerate(parent):
         if p == PARENT_NONE:
-            size, ways = size + best_s[r], ways * best_w[r]
+            size, ways = size + down[0][r], ways * down[1][r]
     return (size, ways) if ways else (-1, 0)
 
 
@@ -95,81 +100,72 @@ def _down(order, parent, include_bits: int, exclude_bits: int):
 
 
 def _rerooted(forest: Forest, include_bits: int = 0, exclude_bits: int = 0):
-    """Rerooting tables of the counting DP over every component, in O(n).
+    """Rerooting tables of the optimum sizes over every component, in O(n).
 
-    Returns (parent, down, up, whole). ``down`` comes from ``_down``. ``up``
-    holds the same three records of parent(v) over the rest of the
-    component (the empty fold at a root), built from prefix and suffix folds
-    over the parent's other neighbours; ``whole`` holds best and excluded
-    of v over its component. The masks act as in ``_down``.
+    Returns (parent, down, up, whole). ``down`` is ``_down``'s counted tables;
+    the up pass reads their sizes. ``up`` holds the sizes of the three records
+    of parent(v) over the rest of the component (the empty fold at a root),
+    ``whole`` the best, excluded and included sizes of v over its component.
+    Sizes subtract exactly, so each vertex sums all of its sides once and
+    leaves out one by subtraction; of the partner gains (unmatched minus
+    excluded) it keeps the two best. The masks act as in ``_down``.
     """
     n = forest.n
     order, parent = forest.bfs
     none = -n - 1
-    dbs, dbw, dxs, dxw, dus, duw = down = _down(order, parent, include_bits, exclude_bits)
+    dbs, _, dxs, _, dus, _ = down = _down(order, parent, include_bits, exclude_bits)
     # a root keeps the empty fold as its record from the parent side
-    ubs, ubw, uxs, uxw, uus, uuw = [0] * n, [1] * n, [0] * n, [1] * n, [none] * n, [0] * n
-    wbs, wbw, wxs, wxw = [0] * n, [0] * n, [0] * n, [0] * n
+    ubs, uxs, uus = [0] * n, [0] * n, [none] * n
+    wbs, wxs, wis = [0] * n, [0] * n, [0] * n
     for p in order:
-        fe_s, fe_w, f0_s, f0_w, f1_s, f1_w = ubs[p], ubw[p], uxs[p], uxw[p], uus[p], uuw[p]
-        pre = []  # (child, fold over the neighbours before it); child -1 closes p itself
+        q = parent[p]
+        e_s, x_s = ubs[p], uxs[p]  # over every side of p: sums of best and of excluded
+        top, second, arg = uus[p] - x_s, none, q  # the two best partner gains, and top's side
         for c in forest.adjacency[p]:
-            if c == parent[p]:
+            if c == q:
                 continue
-            pre.append((c, fe_s, fe_w, f0_s, f0_w, f1_s, f1_w))
-            m_s, m_w, o_s, o_w = f1_s + dxs[c], f1_w * dxw[c], f0_s + dus[c], f0_w * duw[c]
-            if o_s >= m_s:
-                m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
-            f1_s, f1_w, fe_s, fe_w = m_s, m_w, fe_s + dbs[c], fe_w * dbw[c]
-            f0_s, f0_w = f0_s + dxs[c], f0_w * dxw[c]
-        pre.append((-1, fe_s, fe_w, f0_s, f0_w, f1_s, f1_w))
+            e_s += dbs[c]
+            x_s += dxs[c]
+            gain = dus[c] - dxs[c]
+            if gain > top:
+                top, second, arg = gain, top, c
+            elif gain > second:
+                second = gain
         inc, exc = include_bits >> p & 1, exclude_bits >> p & 1
-        ge_s, ge_w, g0_s, g0_w, g1_s, g1_w = 0, 1, 0, 1, none, 0  # over the children after c
-        for c, fe_s, fe_w, f0_s, f0_w, f1_s, f1_w in reversed(pre):
-            m_s, m_w, o_s, o_w = f1_s + g0_s, f1_w * g0_w, f0_s + g1_s, f0_w * g1_w
-            if o_s >= m_s:
-                m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
-            x_s, x_w, u_s, u_w = fe_s + ge_s, fe_w * ge_w, f0_s + g0_s + 1, f0_w * g0_w
-            b_s, b_w = m_s + 1, m_w
-            if inc:
-                x_s, x_w = none, 0
-            if exc:
-                u_s = b_s = none
-                u_w = b_w = 0
-            if u_s >= b_s:
-                b_s, b_w = u_s, u_w if u_s > b_s else b_w + u_w
-            if x_s >= b_s:
-                b_s, b_w = x_s, x_w if x_s > b_s else b_w + x_w
-            if c < 0:
-                wbs[p], wbw[p], wxs[p], wxw[p] = b_s, b_w, x_s, x_w
+        out = none if inc else e_s
+        held = none if exc else x_s + 1 + (top if top > 0 else 0)
+        wbs[p], wxs[p], wis[p] = held if held > out else out, out, held
+        for c in forest.adjacency[p]:  # p over its sides but c's, with c free to be its partner
+            if c == q:
                 continue
-            ubs[c], ubw[c], uxs[c], uxw[c], uus[c], uuw[c] = b_s, b_w, x_s, x_w, u_s, u_w
-            m_s, m_w, o_s, o_w = g1_s + dxs[c], g1_w * dxw[c], g0_s + dus[c], g0_w * duw[c]
-            if o_s >= m_s:
-                m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
-            g1_s, g1_w, ge_s, ge_w = m_s, m_w, ge_s + dbs[c], ge_w * dbw[c]
-            g0_s, g0_w = g0_s + dxs[c], g0_w * dxw[c]
-    return parent, down, (ubs, ubw, uxs, uxw, uus, uuw), (wbs, wbw, wxs, wxw)
+            out = none if inc else e_s - dbs[c]
+            uus[c] = held = none if exc else x_s - dxs[c] + 1
+            gain = second if c == arg else top
+            if gain > 0 and not exc:
+                held += gain
+            ubs[c], uxs[c] = held if held > out else out, out
+    return parent, down, (ubs, uxs, uus), (wbs, wxs, wis)
 
 
 def _classes(whole, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
     """Bit masks of the vertices that every optimum honoring the masks holds, and
-    of those that none holds, from the ``whole`` records of ``_rerooted`` under them."""
-    best_s, best_w, avoid_s, avoid_w = whole
+    of those that none holds, from the ``whole`` sizes of ``_rerooted`` under them."""
+    best_s, out_s, held_s = whole
     n = len(best_s)
-    held, avoided = include_bits, exclude_bits  # the masked vertices are decided already
-    free = ((1 << n) - 1) & ~(held | avoided)
-    # only the free vertices, byte by byte: low-bit steps on all of free copy n bits each
+    free = ((1 << n) - 1) & ~(include_bits | exclude_bits)  # the masked vertices are decided
+    # only the free vertices, byte by byte into byte arrays: a step on an n-bit int copies it
+    held, avoided = bytearray((n + 7) // 8), bytearray((n + 7) // 8)
     for i, byte in enumerate(free.to_bytes((n + 7) // 8, "little")):
         while byte:
             low = byte & -byte
             byte ^= low
             v = 8 * i + low.bit_length() - 1
-            if avoid_s[v] < best_s[v]:  # every optimum holds v
-                held |= 1 << v
-            elif avoid_w[v] == best_w[v]:  # the optima avoiding v are all of them
-                avoided |= 1 << v
-    return held, avoided
+            if out_s[v] < best_s[v]:  # every optimum holds v
+                held[i] |= low
+            elif held_s[v] < best_s[v]:  # no optimum holds v
+                avoided[i] |= low
+    return (include_bits | int.from_bytes(held, "little"),
+            exclude_bits | int.from_bytes(avoided, "little"))
 
 
 def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]:

@@ -21,6 +21,7 @@ appearance.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
@@ -89,8 +90,8 @@ class VertexSet(_Frozen):
         return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        # one pass over the binary digits, lowest first
-        return iter([v for v, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1"])
+        # the binary digits, lowest first, with each "0" a false byte: one pass in C
+        return compress(count(), bin(self.bits)[:1:-1].encode().replace(b"0", b"\0"))
 
 
 class Forest(_Frozen):

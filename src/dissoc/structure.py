@@ -9,12 +9,12 @@ larger. Vertices split into three classes by their membership across
 all maximum dissociation sets: flexible (some but not all), static
 included (all), static excluded (none).
 
-``critical_structure`` reads all of it from one O(n) rerooting pass of
-the counting DP, which gives the records of every vertex over its
-component and of both sides of every edge: the dissociation number and
-the number of maximum sets, the number of maximum sets that hold each
-vertex, the number that hold neither end of each critical edge, the
-vertex classes, the critical edges and their grouping.
+``critical_structure`` reads all of it from one counted down pass of the
+DP, giving the dissociation number and the number of maximum sets, and
+one O(n) size-only rerooting pass, giving the optimum sizes of every
+vertex and of both sides of every edge: the vertex classes, the critical
+edges and their grouping, and the sizes the claims about every maximum
+set are tested on.
 ``classify_vertices`` and ``critical_edges_alpha3`` are reads of that
 structure. ``critical_edges_mu3`` reads the rerooted 3-path packing pass
 of ``kpath``, which shares no code with the counting DP, so equal edge
@@ -26,25 +26,24 @@ sets, and for each k-path cover/matching certificate it is given the
 certificate itself and the k-König–Egerváry identity alpha_k + mu_k = n
 (``kke_identity``). Each check ends as pass, fail with a witness, or skip.
 
-The claims about every maximum set are count identities, exact at any
-number of sets. With N the number of maximum sets and N(v) the number
-that hold v: every maximum set meets a critical edge iff the number
-holding neither end is 0; it takes exactly one end of an insulated edge
-(u, v) iff also N(u) + N(v) = N, since N(u) + N(v) counts the sets
-holding both ends twice; and it takes exactly two vertices of a critical
-3-path a-m-b iff N(a) + N(m) + N(b) = 2N. No dissociation set holds all three vertices of
-a path, so each set adds at most 2 to that sum, and the sum reaches 2N
-only when every set adds exactly 2.
+The claims about every maximum set are size tests, exact at any number
+of sets: a claim holds for every maximum set iff the largest set breaking
+it is smaller than alpha3. Every maximum set meets a critical edge iff the
+largest set holding neither end is smaller; it takes exactly one end of an
+insulated edge iff, also, the largest holding both ends is smaller; and it
+takes exactly two vertices of a critical 3-path a-m-b iff it meets both
+edges and the largest set holding m but neither a nor b is smaller. No
+dissociation set holds a whole path, so a set meeting both edges with one
+vertex holds m alone.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
-from .dissociation import _classes, _rerooted
+from .dissociation import _classes, _rerooted, _total
 from .errors import TheoremViolation
-from .forest import PARENT_NONE, Forest, VertexSet
+from .forest import Forest, VertexSet
 from .kpath import CoverMatchingCertificate, alpha_k_brute, mu3_edge_deletions, verify_certificate
 
 Edge = tuple[int, int]
@@ -56,8 +55,11 @@ class CriticalStructure(NamedTuple):
     ``insulated_edges`` and ``critical_triples`` are None when some critical
     component has more than three vertices, which the structure theory
     rules out; ``grouping_failure`` then names that component.
-    ``containing[v]`` is the number of maximum sets that hold vertex v, and
-    ``missed[i]`` the number that hold neither end of ``critical_edges[i]``.
+    ``edge_failure`` is the witness of an inconsistent critical edge, else
+    None. ``neither_end[i]`` and ``both_ends[i]`` are the sizes of the largest
+    dissociation sets holding neither and both ends of ``critical_edges[i]``,
+    ``middle_alone[j]`` of the largest holding only the middle of
+    ``critical_triples[j]`` of its three vertices.
     """
 
     critical_edges: tuple[Edge, ...]
@@ -68,8 +70,10 @@ class CriticalStructure(NamedTuple):
     alpha3: int
     count: int
     classes: VertexClassification
-    containing: tuple[int, ...]
-    missed: tuple[int, ...]
+    edge_failure: str | None
+    neither_end: tuple[int, ...]
+    both_ends: tuple[int, ...]
+    middle_alone: tuple[int, ...]
 
 
 class VertexClassification(NamedTuple):
@@ -96,46 +100,44 @@ def _skipped(reason: str) -> CheckResult:
 
 
 def critical_structure(forest: Forest) -> CriticalStructure:
-    """Count, vertex classes and critical edges of a forest from one
-    rerooting pass, with the critical edges grouped into insulated edges
-    and critical 3-paths, plus the number of optima holding each vertex
-    (``containing``) and holding neither end of each critical edge
-    (``missed``).
-
-    Raises TheoremViolation when deleting an edge moves alpha3 by anything
-    but 0 or +1, or when some optimum of the forest split at a critical edge
-    avoids one of its endpoints.
-    """
+    """Count, vertex classes and critical edges of a forest from one counted
+    down pass and one size-only rerooting pass, with the critical edges
+    grouped and the sizes the checks of every maximum set read. The first
+    edge whose deletion moves alpha3 by other than 0 or +1, or critical edge
+    with a split optimum avoiding an end, is named in ``edge_failure``."""
     n = forest.n
     parent, down, up, whole = _rerooted(forest)
-    best_s, best_w, avoid_s, avoid_w = whole
-    roots = [r for r in range(n) if parent[r] == PARENT_NONE]
-    alpha3 = sum(best_s[r] for r in roots)
-    count = math.prod(best_w[r] for r in roots)
-    # count // best_w[v]: the optima of the components other than v's
-    containing = tuple(
-        count - avoid_w[v] * (count // best_w[v]) if avoid_s[v] == best_s[v] else count
-        for v in range(n)
-    )
-    crit, missed = [], []
+    (best_s, _, dxs, _, dus, _), (ubs, uxs, uus) = down, up
+    alpha3, count = _total(parent, down)
+    crit, neither, both, edge_failure = [], [], [], None
     for e in forest.edges:
         c = e[1] if parent[e[1]] == e[0] else e[0]
-        val = alpha3 - best_s[c] + down[0][c] + up[0][c]
+        rest = alpha3 - whole[0][c]  # the optima of the other components
+        val = rest + best_s[c] + ubs[c]
         if val == alpha3:
             continue
         if val != alpha3 + 1:
-            raise TheoremViolation(f"deleting edge {e} moved alpha3 from {alpha3} to {val}")
+            edge_failure = edge_failure or f"deleting edge {e} moved alpha3 from {alpha3} to {val}"
+            continue
         for v in e:
-            best, _, avoid, _, _, _ = down if v == c else up
-            if avoid[c] == best[c]:
-                raise TheoremViolation(
-                    f"critical edge {e}: some optimum of the split forest avoids {v}"
-                )
+            best, avoid = (best_s, dxs) if v == c else (ubs, uxs)
+            if avoid[c] == best[c] and edge_failure is None:
+                edge_failure = f"critical edge {e}: some optimum of the split forest avoids {v}"
         crit.append(e)
-        # an optimum holding neither end excludes c below the edge and its parent above it
-        neither = down[2][c] + up[2][c] == best_s[c]
-        missed.append(down[3][c] * up[3][c] * (count // best_w[c]) if neither else 0)
-    insulated, triples, failure = _group_critical_edges(n, crit)
+        # c and its parent each excluded on their side of the edge, or each the other's partner
+        neither.append(rest + dxs[c] + uxs[c])
+        both.append(rest + dus[c] + uus[c])
+    insulated, triples, failure = _group_critical_edges(crit)
+    alone = []
+    for a, m, b in triples or ():
+        # m included with its partner, if any, on a side other than a's and b's
+        size, gain = alpha3 - whole[0][m] + 1, 0
+        for w in forest.adjacency[m]:
+            x_s, u_s = (uxs[m], uus[m]) if w == parent[m] else (dxs[w], dus[w])
+            size += x_s
+            if w != a and w != b and u_s - x_s > gain:
+                gain = u_s - x_s
+        alone.append(size + gain)
     included, excluded = _classes(whole)
     return CriticalStructure(
         critical_edges=tuple(crit),
@@ -150,27 +152,31 @@ def critical_structure(forest: Forest) -> CriticalStructure:
             static_included=VertexSet(included, n),
             static_excluded=VertexSet(excluded, n),
         ),
-        containing=containing,
-        missed=tuple(missed),
+        edge_failure=edge_failure,
+        neither_end=tuple(neither),
+        both_ends=tuple(both),
+        middle_alone=tuple(alone),
     )
 
 
-def _group_critical_edges(n: int, crit: list[Edge]):
-    """(insulated edges, triples, None), or (None, None, witness) past a 3-path."""
-    critical = Forest.from_edges(n, crit)
-    insulated = []
-    triples = []
-    for comp in critical.components():
-        if len(comp) == 2:
-            insulated.append(comp)  # BFS from the smaller end: already sorted
-        elif len(comp) == 3:
-            mid = next(v for v in comp if critical.degree(v) == 2)
-            ends = sorted(v for v in comp if v != mid)
-            triples.append((ends[0], mid, ends[1]))
-        elif len(comp) > 3:
-            edges = sorted(e for e in crit if e[0] in comp)
-            return None, None, f"critical component with {len(edges)} edges: {edges}"
-    return tuple(sorted(insulated)), tuple(sorted(triples)), None
+def _group_critical_edges(crit: list[Edge]):
+    """(insulated edges, triples, None), or (None, None, witness) past a 3-path,
+    from the degrees in the critical edges: no forest of all n vertices is built."""
+    ends: dict[int, list[int]] = {}
+    for u, v in crit:
+        ends.setdefault(u, []).append(v)
+        ends.setdefault(v, []).append(u)
+    insulated = tuple(e for e in crit if len(ends[e[0]]) == len(ends[e[1]]) == 1)
+    triples = tuple(sorted((min(nb), m, max(nb)) for m, nb in ends.items()
+                           if len(nb) == 2 and len(ends[nb[0]]) == len(ends[nb[1]]) == 1))
+    if len(insulated) + 2 * len(triples) == len(crit):
+        return insulated, triples, None
+    grouped = {v for part in insulated + triples for v in part}
+    comp = [min(v for v in ends if v not in grouped)]  # the first larger component's least vertex
+    for v in comp:
+        comp += [w for w in ends[v] if w not in comp]
+    edges = sorted(e for e in crit if e[0] in comp)
+    return None, None, f"critical component with {len(edges)} edges: {edges}"
 
 
 def critical_edges_alpha3(forest: Forest) -> tuple[Edge, ...]:
@@ -242,19 +248,14 @@ def verify_structure_theorems(
     ``certificate k=K`` holds the problems ``verify_certificate`` finds,
     joined by ``; ``, and ``kke k=K`` the identity of ``kke_identity``.
 
-    A failed check is reported with its witness; a TheoremViolation from
+    A failed check is reported with its witness. An inconsistent alpha3
+    critical edge (``structure.edge_failure``) or a TheoremViolation from
     ``critical_edges_mu3`` is the witness of ``critical_edge_sets_coincide``.
     A critical component of more than three vertices fails
     ``critical_components_are_edge_or_3path`` and skips the checks that read
-    the grouping. The two checks that ``critical_structure`` itself makes
-    (alpha3 rises by exactly one when a critical edge is deleted, and every
-    optimum of the split forest keeps both of its endpoints) raise
-    TheoremViolation there instead.
-    ``every_mds_hits_each_critical_edge`` and ``mds_meets_exact_pattern``
-    are the count identities of the module docstring over ``containing``
-    and ``missed``, so they hold for every maximum set however many there
-    are; the sum 2 * count for a 3-path suffices because no dissociation set
-    holds all three of its vertices.
+    the grouping. ``every_mds_hits_each_critical_edge`` and
+    ``mds_meets_exact_pattern`` are the size tests of the module docstring,
+    exact however many maximum sets there are.
     """
     checks: dict[str, CheckResult] = {}
     cls = structure.classes
@@ -342,37 +343,37 @@ def verify_structure_theorems(
         )
     checks["static_excluded_neighbor_rule"] = _failed(bad) if bad else _passed()
 
-    # claims about every maximum set, as count identities
-    bad = next((f"{m} maximum sets hold neither end of critical edge {e}"
-                for e, m in zip(crit, structure.missed) if m), None)
+    # claims about every maximum set: the largest set breaking one is smaller than alpha3
+    alpha3 = structure.alpha3
+    bad = next((f"a maximum set holds neither end of critical edge {e}"
+                for e, size in zip(crit, structure.neither_end) if size >= alpha3), None)
     checks["every_mds_hits_each_critical_edge"] = _failed(bad) if bad else _passed()
 
     if failure:
         checks["mds_meets_exact_pattern"] = _skipped("critical structure unavailable")
     else:
-        count, holding = structure.count, structure.containing
-        missed = dict(zip(crit, structure.missed))
+        neither = dict(zip(crit, structure.neither_end))
+        both = dict(zip(crit, structure.both_ends))
         bad = None
         for e in structure.insulated_edges:
-            held = holding[e[0]] + holding[e[1]]
-            if missed[e] or held != count:
-                both = held - count + missed[e]
-                bad = f"insulated edge {e}: {missed[e]} maximum sets take neither end, {both} both"
+            if neither[e] >= alpha3 or both[e] >= alpha3:
+                took = "neither end" if neither[e] >= alpha3 else "both ends"
+                bad = f"insulated edge {e}: a maximum set takes {took}"
                 break
-        for triple in structure.critical_triples:
-            held = sum(holding[v] for v in triple)
-            if bad is None and held != 2 * count:
-                bad = f"triple {triple}: maximum sets hold {held} of its vertices, not 2 * {count}"
+        for (a, m, b), alone in zip(structure.critical_triples, structure.middle_alone):
+            sizes = (neither[min(a, m), max(a, m)], neither[min(m, b), max(m, b)], alone)
+            if bad is None and max(sizes) >= alpha3:
+                bad = f"triple {(a, m, b)}: a maximum set holds fewer than 2 of its vertices"
         checks["mds_meets_exact_pattern"] = _failed(bad) if bad else _passed()
 
-    try:
-        differ = set(crit) != set(critical_edges_mu3(forest))
-    except TheoremViolation as exc:
-        checks["critical_edge_sets_coincide"] = _failed(exc.witness)
-    else:
-        checks["critical_edge_sets_coincide"] = (
-            _failed("alpha3 and mu3 sets differ") if differ else _passed()
-        )
+    bad = structure.edge_failure
+    if bad is None:
+        try:
+            if set(crit) != set(critical_edges_mu3(forest)):
+                bad = "alpha3 and mu3 sets differ"
+        except TheoremViolation as exc:
+            bad = exc.witness
+    checks["critical_edge_sets_coincide"] = _failed(bad) if bad else _passed()
 
     for cert in certificates:
         problems = verify_certificate(forest, cert)

@@ -398,6 +398,57 @@ def test_verify_reports_a_failed_check_and_finishes_the_sweep(capsys, monkeypatc
     assert out == want.replace("total trees=8 failures=0", "total trees=8 failures=1")
 
 
+def _raise_alpha3(up):
+    up[0][1] += 1  # the side of 0 across edge (0, 1) one larger than its optimum
+
+
+def _avoid_an_end(up):
+    up[1][1] = up[0][1]  # the side of 0 across edge (0, 1) as large without 0
+
+
+# name -> (breaks the size-only tables of a 3-vertex path, witness of the failed check)
+EDGE_FAULTS = {
+    "deleting an edge raises alpha3 by two": (
+        _raise_alpha3, "deleting edge (0, 1) moved alpha3 from 2 to 4"),
+    "a split optimum avoids an end": (
+        _avoid_an_end, "critical edge (0, 1): some optimum of the split forest avoids 0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EDGE_FAULTS))
+def test_an_inconsistent_critical_edge_fails_a_check_and_the_sweep_goes_on(
+    capsys, monkeypatch, tmp_path, fault
+):
+    # the failed edge check of P3 is a failed check like any other, so the orders after it still run
+    argv = ("verify", "--n-max", "5", "--k-list", "3")
+    clean = run(capsys, *argv)[1].splitlines()
+    breaks, witness = EDGE_FAULTS[fault]
+    rerooted = structure._rerooted
+
+    def broken(forest, *masks):
+        parent, down, up, whole = rerooted(forest, *masks)
+        if forest.n == 3:
+            breaks(up)
+        return parent, down, up, whole
+
+    monkeypatch.setattr(structure, "_rerooted", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "counterexample:" not in err
+    lines = out.splitlines()
+    notes = [line for line in lines if line.startswith("  counterexample at n=3: ")]
+    assert f"  counterexample at n=3: critical_edge_sets_coincide: {witness}" in notes
+    assert [line for line in lines if line not in notes] == [
+        line.replace("n=3 trees=1 failures=0", f"n=3 trees=1 failures={len(notes)}")
+        .replace("total trees=8 failures=0", f"total trees=8 failures={len(notes)}")
+        for line in clean
+    ]
+    p3 = tmp_path / "p3.txt"
+    p3.write_text("a b\nb c\n")
+    code, out, _ = run(capsys, "analyze", str(p3))
+    assert code == 3
+    assert f"critical_edge_sets_coincide: {witness}" in json.loads(out)["violations"]
+
+
 def test_verify_reaches_every_check_through_the_registry(capsys, monkeypatch):
     # per tree, dissoc.cli builds the structure and calls the registry once;
     # the certificate checks, alpha_k and the mu3 edges run inside the registry

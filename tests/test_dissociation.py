@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dissoc import dissociation
 from dissoc.dissociation import (
+    _classes,
     _rerooted,
     alpha3_count_dp,
     alpha3_forced,
@@ -24,6 +25,7 @@ from dissoc.treegen import (
 )
 
 from util import (
+    brute_force_masked_classes,
     brute_force_mds,
     dp_forest,
     every_level_sequence,
@@ -200,41 +202,80 @@ def _combined(records):
     return size, ways
 
 
+def _combined_size(sizes):
+    """Size of a forest from one size per component, -1 when one is infeasible."""
+    return -1 if any(s < 0 for s in sizes) else sum(sizes)
+
+
+def _random_masks(rng, forest, p_inc):
+    inc = exc = 0
+    for v in range(forest.n):
+        pick = rng.random()
+        if pick < p_inc:
+            inc |= 1 << v
+        elif pick < p_inc + 0.1:
+            exc |= 1 << v
+    return inc, exc
+
+
+def _assert_masked_engine_matches_dp(forest, inc, exc):
+    """The rerooting tables under the masks against the oracle DP; returns whether
+    the masks are infeasible."""
+    _, down, _, (best_s, out_s, held_s) = _rerooted(forest, inc, exc)
+    comps = forest.components()  # each starts at its root
+    optima = [(down[0][comp[0]], down[1][comp[0]]) for comp in comps]
+    want = dp_forest(forest, inc, exc)
+    assert _combined(optima) == want, (forest.edges, inc, exc)
+    # the root fold of the counting and forced queries
+    forced = alpha3_forced(forest, VertexSet(inc, forest.n), VertexSet(exc, forest.n))
+    assert forced == (None if want == (-1, 0) else want[0]), (forest.edges, inc, exc)
+    res = alpha3_count_dp(forest)
+    assert (res.alpha3, res.count) == dp_forest(forest), forest.edges
+    sizes = [size if ways else -1 for size, ways in optima]
+    for i, comp in enumerate(comps):
+        for v in comp:
+            # every vertex of a component sees the same optimum of it
+            assert max(best_s[v], -1) == sizes[i], (forest.edges, inc, exc, v)
+            # v excluded unless it is forced in, included unless it is forced out
+            for mask, side, held in ((inc, out_s, False), (exc, held_s, True)):
+                if mask >> v & 1:
+                    continue
+                got = _combined_size(sizes[:i] + [side[v]] + sizes[i + 1 :])
+                expected = dp_forest(forest, inc | held << v, exc | (not held) << v)[0]
+                assert got == expected, (forest.edges, inc, exc, v, held)
+    return want == (-1, 0)
+
+
 def test_masked_engine_matches_dp():
     rng = random.Random(5)
     infeasible = 0
     for _ in range(150):
         forest = random_forest_with_isolated_vertices(rng, 20)
-        inc = exc = 0
-        p_inc = rng.random()  # high rates tend to include a vertex and two neighbours
-        for v in range(forest.n):
-            pick = rng.random()
-            if pick < p_inc:
-                inc |= 1 << v
-            elif pick < p_inc + 0.1:
-                exc |= 1 << v
-        best_s, best_w, avoid_s, avoid_w = _rerooted(forest, inc, exc)[3]
-        comps = forest.components()  # each starts at its root
-        optima = [(best_s[comp[0]], best_w[comp[0]]) for comp in comps]
-        want = dp_forest(forest, inc, exc)
-        infeasible += want == (-1, 0)
-        assert _combined(optima) == want, (forest.edges, inc, exc)
-        # the root fold of the counting and forced queries
-        forced = alpha3_forced(forest, VertexSet(inc, forest.n), VertexSet(exc, forest.n))
-        assert forced == (None if want == (-1, 0) else want[0]), (forest.edges, inc, exc)
-        res = alpha3_count_dp(forest)
-        assert (res.alpha3, res.count) == dp_forest(forest), forest.edges
-        for i, comp in enumerate(comps):
-            r = comp[0]
-            for v in comp:
-                # every vertex of a component sees the same optimum of it
-                assert best_w[v] == best_w[r] and (best_s[v] == best_s[r] or best_w[r] == 0)
-                if inc >> v & 1:
-                    continue
-                parts = optima[:i] + [(avoid_s[v], avoid_w[v])] + optima[i + 1 :]
-                want = dp_forest(forest, inc, exc | 1 << v)
-                assert _combined(parts) == want, (forest.edges, inc, exc, v)
+        # high include rates tend to include a vertex and two neighbours
+        masks = _random_masks(rng, forest, rng.random())
+        infeasible += _assert_masked_engine_matches_dp(forest, *masks)
     assert 30 < infeasible < 120
+
+
+def test_masked_engine_keeps_a_side_infeasible_past_an_excluded_vertex():
+    # 0 is forced out; of its sides, 1 is forced in and 2 is forced in with both of its
+    # children, so the side of 2 has no set and neither has 3's view of 0 through it
+    forest = Forest.from_edges(6, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5)])
+    assert _assert_masked_engine_matches_dp(forest, 0b110110, 0b000001)
+
+
+def test_masked_classes_match_a_subset_scan():
+    rng = random.Random(6)
+    feasible = 0
+    for _ in range(150):
+        forest = random_forest_with_isolated_vertices(rng, 11)
+        inc, exc = _random_masks(rng, forest, 0.15 * rng.random())
+        want = brute_force_masked_classes(forest, inc, exc)
+        if want is None:
+            continue
+        feasible += 1
+        assert _classes(_rerooted(forest, inc, exc)[3], inc, exc) == want, (forest.edges, inc, exc)
+    assert feasible > 80
 
 
 def test_enumerate_cap_truncates():

@@ -31,7 +31,7 @@ P3_STRUCTURE = (
     "critical_triples=((0, 1, 2),), eta=2, grouping_failure=None, alpha3=2, count=3, "
     "classes=VertexClassification(flexible=VertexSet(bits=7, n=3), "
     "static_included=VertexSet(bits=0, n=3), static_excluded=VertexSet(bits=0, n=3)), "
-    "containing=(2, 2, 2), missed=(0, 0))"
+    "edge_failure=None, neither_end=(1, 1), both_ends=(2, 2), middle_alone=(1,))"
 )
 
 
@@ -131,11 +131,11 @@ def test_readme_library_example():
     ns: dict = {}
     exec(block, ns)
     assert repr(ns["res"]) == "DissociationResult(alpha3=3, count=1)"
-    assert ns["struct"].containing == (1, 0, 1, 1)
+    assert ns["struct"].classes.static_included.members() == (0, 2, 3)
     assert repr(ns["checks"]["kke k=3"]) == "CheckResult(status='pass', witness=None)"
     assert ns["report"].n == 9 and ns["report"].trees_scanned == 47
     for comment, name in (("# DissociationResult(alpha3=3, count=1)", "res ="),
-                          ("# (1, 0, 1, 1)", "struct.containing"),
+                          ("# (0, 2, 3)", "struct.classes.static_included.members()"),
                           ("# CheckResult(status='pass', witness=None)", 'checks["kke k=3"]'),
                           ("all 47 trees of order 9", "report =")):
         assert any(name in line and comment in line for line in block.splitlines()), comment

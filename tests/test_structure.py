@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -8,6 +7,7 @@ from dissoc.extremal import lt8, star_construction
 from dissoc.forest import Forest, canonical_code
 from dissoc.structure import (
     CheckResult,
+    _group_critical_edges,
     classify_vertices,
     critical_edges_alpha3,
     critical_edges_mu3,
@@ -20,9 +20,12 @@ from util import (
     brute_force_mds,
     build_canonical_mds,
     classify_vertices_oracle,
+    containing_and_missed,
+    count_identity_checks,
     critical_edges_alpha3_oracle,
     dp_forest,
     enumerated_structure_checks,
+    group_critical_edges_oracle,
     path,
     random_forest_with_isolated_vertices,
     star,
@@ -202,9 +205,10 @@ def test_structure_ops_work_on_forests():
 def _assert_counts_match_brute_force(forest):
     s = critical_structure(forest)
     _, sets = brute_force_mds(forest)
-    assert s.containing == tuple(sum(v in m for m in sets) for v in range(forest.n)), forest.edges
+    containing, missed = containing_and_missed(forest, s)
+    assert containing == tuple(sum(v in m for m in sets) for v in range(forest.n)), forest.edges
     neither = tuple(sum(u not in m and v not in m for m in sets) for u, v in s.critical_edges)
-    assert s.missed == neither, forest.edges
+    assert missed == neither, forest.edges
 
 
 def test_containing_and_missed_match_brute_force_on_free_trees():
@@ -219,46 +223,101 @@ def test_containing_and_missed_match_brute_force_on_forests_with_isolated_vertic
         _assert_counts_match_brute_force(random_forest_with_isolated_vertices(rng, 12))
 
 
-def test_count_checks_agree_with_enumeration_oracle():
+def _assert_sizes_match_forced_dp(forest):
+    s = critical_structure(forest)
+    edges = [1 << u | 1 << v for u, v in s.critical_edges]
+    assert s.neither_end == tuple(dp_forest(forest, 0, e)[0] for e in edges), forest.edges
+    assert s.both_ends == tuple(dp_forest(forest, e, 0)[0] for e in edges), forest.edges
+    alone = tuple(dp_forest(forest, 1 << m, 1 << a | 1 << b)[0] for a, m, b in s.critical_triples)
+    assert s.middle_alone == alone, forest.edges
+
+
+def test_existence_sizes_match_the_forced_dp_on_free_trees():
+    for n in range(1, 11):
+        for t in free_trees(n):
+            _assert_sizes_match_forced_dp(t)
+
+
+def test_existence_sizes_match_the_forced_dp_on_forests_with_isolated_vertices():
+    rng = random.Random(12)
+    for _ in range(60):
+        _assert_sizes_match_forced_dp(random_forest_with_isolated_vertices(rng, 20))
+
+
+def _assert_checks_match_oracles(forest):
     names = ("every_mds_hits_each_critical_edge", "mds_meets_exact_pattern")
+    s = critical_structure(forest)
+    rep = verify_structure_theorems(forest, s)
+    sizes = {name: rep[name] for name in names}
+    assert sizes == enumerated_structure_checks(forest, s), forest.edges
+    assert sizes == count_identity_checks(forest, s), forest.edges
+
+
+def test_count_checks_agree_with_enumeration_oracle():
+    # the size tests of the registry, the set-by-set scan and the count identities agree
     for n in range(1, 13):
         for t in free_trees(n):
-            s = critical_structure(t)
-            rep = verify_structure_theorems(t, s)
-            assert {name: rep[name] for name in names} == enumerated_structure_checks(t, s), t.edges
+            _assert_checks_match_oracles(t)
 
 
-def test_count_checks_fail_on_a_wrong_membership_count():
-    # hub 0; 2-path leg (1,2); pendant 3; 3-path leg (4,5,6)
-    t = star_construction(("P3", "P2", "P4"))
-    s = critical_structure(t)
+def test_size_checks_agree_with_oracles_on_forests_with_isolated_vertices():
+    rng = random.Random(13)
+    for _ in range(60):
+        _assert_checks_match_oracles(random_forest_with_isolated_vertices(rng, 16))
+
+
+# hub 0; 2-path leg (1,2); pendant 3; 3-path leg (4,5,6)
+MIXED = star_construction(("P3", "P2", "P4"))
+
+
+def _perturbed(field, i):
+    """The registry's report on MIXED with entry i of a size field raised to alpha3:
+    a maximum set that breaks the claim that field tests."""
+    s = critical_structure(MIXED)
+    sizes = list(getattr(s, field))
+    sizes[i] = s.alpha3
+    return s, verify_structure_theorems(MIXED, s._replace(**{field: tuple(sizes)}))
+
+
+def test_size_checks_fail_when_a_maximum_set_misses_a_critical_edge():
+    s = critical_structure(MIXED)
     assert (s.insulated_edges, s.critical_triples) == (((0, 1),), ((4, 5, 6),))
-    parts = [(0, (0, 1)), (1, (0, 1)), (4, (4, 5, 6)), (5, (4, 5, 6)), (6, (4, 5, 6))]
-    for (v, part), delta in itertools.product(parts, (1, -1)):
-        containing = list(s.containing)
-        containing[v] += delta
-        rep = verify_structure_theorems(t, s._replace(containing=tuple(containing)))
-        assert rep["mds_meets_exact_pattern"].status == "fail", (v, delta)
-        assert str(part) in rep["mds_meets_exact_pattern"].witness, (v, delta)
-        assert rep["every_mds_hits_each_critical_edge"].status == "pass"
-
-
-def test_count_checks_fail_on_a_missed_critical_edge():
-    t = star_construction(("P3", "P2", "P4"))
-    s = critical_structure(t)
     for i, e in enumerate(s.critical_edges):
-        missed = [0] * len(s.missed)
-        missed[i] = 1
-        rep = verify_structure_theorems(t, s._replace(missed=tuple(missed)))
+        _, rep = _perturbed("neither_end", i)
         assert rep["every_mds_hits_each_critical_edge"] == CheckResult(
-            "fail", f"1 maximum sets hold neither end of critical edge {e}"
+            "fail", f"a maximum set holds neither end of critical edge {e}"
         )
-        # an insulated edge that some optimum misses breaks the exact pattern too
+        # a set missing an edge takes too few vertices of its insulated edge or triple
+        part = e if e in s.insulated_edges else (4, 5, 6)
         pattern = rep["mds_meets_exact_pattern"]
-        if e in s.insulated_edges:
-            assert pattern.status == "fail" and str(e) in pattern.witness
-        else:
-            assert pattern.status == "pass"
+        assert pattern.status == "fail" and str(part) in pattern.witness, e
+
+
+def test_size_checks_fail_when_a_maximum_set_takes_both_ends_of_an_insulated_edge():
+    s = critical_structure(MIXED)
+    for i, e in enumerate(s.critical_edges):
+        _, rep = _perturbed("both_ends", i)
+        assert rep["every_mds_hits_each_critical_edge"].status == "pass"
+        # both ends of one edge of a triple are two of its vertices, as the claim wants
+        want = (CheckResult("fail", f"insulated edge {e}: a maximum set takes both ends")
+                if e in s.insulated_edges else CheckResult("pass"))
+        assert rep["mds_meets_exact_pattern"] == want, e
+
+
+def test_size_checks_fail_when_a_maximum_set_holds_a_triple_middle_alone():
+    _, rep = _perturbed("middle_alone", 0)
+    assert rep["every_mds_hits_each_critical_edge"].status == "pass"
+    assert rep["mds_meets_exact_pattern"] == CheckResult(
+        "fail", "triple (4, 5, 6): a maximum set holds fewer than 2 of its vertices"
+    )
+
+
+def test_an_inconsistent_critical_edge_fails_the_edge_set_check():
+    witness = "deleting edge (0, 1) moved alpha3 from 2 to 4"
+    s = critical_structure(path(3))._replace(edge_failure=witness)
+    rep = verify_structure_theorems(path(3), s)
+    assert rep.pop("critical_edge_sets_coincide") == CheckResult("fail", witness)
+    assert {cr.status for cr in rep.values()} == {"pass"}
 
 
 def _assert_matches_oracles(forest):
@@ -284,6 +343,19 @@ def test_rerooted_structure_matches_oracles_on_forests_with_isolated_vertices():
     rng = random.Random(7)
     for _ in range(60):
         _assert_matches_oracles(random_forest_with_isolated_vertices(rng, 30))
+
+
+def test_grouping_matches_the_components_of_a_built_forest():
+    rng = random.Random(14)
+    failures = 0
+    for _ in range(300):
+        tree = random_labeled_tree(rng.randint(1, 30), rng)
+        keep = rng.random()
+        crit = [e for e in tree.edges if rng.random() < keep]
+        got = _group_critical_edges(crit)
+        assert got == group_critical_edges_oracle(tree.n, crit), crit
+        failures += got[2] is not None
+    assert 50 < failures < 250
 
 
 def test_grouping_failure_fails_one_check_and_skips_the_grouped_ones():

@@ -3,9 +3,11 @@ every labeled tree of an order, every valid level sequence of an order, the allo
 successor walk over the canonical ones, a level-sequence decoder through the validating
 constructor, the dissociation-set test, the subset scan for every maximum dissociation set,
 a second counting DP with its own state layout, per-query oracles for the vertex classes and
-the critical edges built on it, the structure checks over every listed maximum set, the
-constructive maximum set, the per-edge mu3 loop, exact k-path packing and cover searches on
-forests, and definition-level k-path searches on arbitrary graphs."""
+the critical edges built on it, the critical-edge grouping from a built forest, the structure
+checks over every listed maximum set and as count identities over membership counts, the
+masked vertex classes by subset scan, the constructive maximum set, the per-edge mu3 loop,
+exact k-path packing and cover searches on forests, and definition-level k-path searches on
+arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -382,6 +384,25 @@ def critical_edges_alpha3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def group_critical_edges_oracle(n: int, crit: list[tuple[int, int]]):
+    """``structure._group_critical_edges`` from the components of a forest of all n
+    vertices built on the given edges."""
+    critical = Forest.from_edges(n, crit)
+    insulated = []
+    triples = []
+    for comp in critical.components():
+        if len(comp) == 2:
+            insulated.append(comp)  # BFS from the smaller end: already sorted
+        elif len(comp) == 3:
+            mid = next(v for v in comp if critical.degree(v) == 2)
+            ends = sorted(v for v in comp if v != mid)
+            triples.append((ends[0], mid, ends[1]))
+        elif len(comp) > 3:
+            edges = sorted(e for e in crit if e[0] in comp)
+            return None, None, f"critical component with {len(edges)} edges: {edges}"
+    return tuple(sorted(insulated)), tuple(sorted(triples)), None
+
+
 def enumerated_structure_checks(
     forest: Forest, structure: CriticalStructure
 ) -> dict[str, CheckResult]:
@@ -411,6 +432,77 @@ def enumerated_structure_checks(
     )
     checks["mds_meets_exact_pattern"] = outcome(next(wrong, None))
     return checks
+
+
+def containing_and_missed(forest: Forest, structure: CriticalStructure):
+    """(number of maximum sets holding each vertex, number holding neither end of each
+    critical edge of ``structure``), from forced runs of the second DP ``dp_forest``."""
+    alpha = dp_forest(forest)[0]
+
+    def optima(include: int = 0, exclude: int = 0) -> int:
+        size, ways = dp_forest(forest, include, exclude)
+        return ways if size == alpha else 0
+
+    containing = tuple(optima(include=1 << v) for v in range(forest.n))
+    missed = tuple(optima(exclude=1 << u | 1 << v) for u, v in structure.critical_edges)
+    return containing, missed
+
+
+def count_identity_checks(forest: Forest, structure: CriticalStructure) -> dict[str, CheckResult]:
+    """``every_mds_hits_each_critical_edge`` and ``mds_meets_exact_pattern`` as count
+    identities over ``containing_and_missed``. With N maximum sets and N(v) of them holding
+    v: every set meets a critical edge iff none holds neither end; takes exactly one end of
+    an insulated edge (u, v) iff also N(u) + N(v) = N, which counts the sets holding both
+    ends twice; and takes exactly two vertices of a critical 3-path iff their N sum to 2N,
+    as no dissociation set holds all three vertices of a path."""
+
+    def outcome(bad: str | None) -> CheckResult:
+        return CheckResult("fail", bad) if bad else CheckResult("pass")
+
+    count = dp_forest(forest)[1]
+    holding, missed_list = containing_and_missed(forest, structure)
+    missed = dict(zip(structure.critical_edges, missed_list))
+    checks = {"every_mds_hits_each_critical_edge": outcome(next(
+        (f"{m} maximum sets hold neither end of critical edge {e}" for e, m in missed.items() if m),
+        None,
+    ))}
+    if structure.grouping_failure:
+        checks["mds_meets_exact_pattern"] = CheckResult("skipped", "critical structure unavailable")
+        return checks
+    wrong = (
+        f"{part}: maximum sets hold {held} of its vertices, not {want} * {count}"
+        for part, want in [(e, 1) for e in structure.insulated_edges]
+        + [(t, 2) for t in structure.critical_triples]
+        if (held := sum(holding[v] for v in part)) != want * count
+        or (want == 1 and missed[part])
+    )
+    checks["mds_meets_exact_pattern"] = outcome(next(wrong, None))
+    return checks
+
+
+def brute_force_masked_classes(forest: Forest, include: int, exclude: int):
+    """(held by every optimum, held by none) over the dissociation sets that hold
+    ``include`` and avoid ``exclude``, by scanning every subset of the other vertices;
+    None when no such set exists."""
+    n = forest.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise GuardExceeded(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
+    masks = forest.adjacency_masks()
+    free = ((1 << n) - 1) & ~(include | exclude)
+    best, every, some = -1, 0, 0
+    sub = free
+    while True:
+        s = sub | include
+        if all((masks[v] & s).bit_count() <= 1 for v in range(n) if s >> v & 1):
+            size = s.bit_count()
+            if size > best:
+                best, every, some = size, s, s
+            elif size == best:
+                every, some = every & s, some | s
+        if not sub:
+            break
+        sub = (sub - 1) & free
+    return None if best < 0 else (every, ((1 << n) - 1) & ~some)
 
 
 def root_at(forest: Forest, root: int) -> tuple[list[int], list[int], list[int]]:
