@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,7 @@ from .forest import (
     serialize_edge_list,
 )
 from .kpath import greedy_cover_matching
-from .structure import critical_structure, kke_identity, verify_structure_theorems
+from .structure import CheckResult, critical_structure, kke_identity, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
 EXIT_OK = 0
@@ -89,7 +88,11 @@ def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
                    for a, b, c in struct.critical_triples]
     kke, kke_checks = {}, {}
     for k in k_values:
-        cert = greedy_cover_matching(forest, k)
+        try:
+            cert = greedy_cover_matching(forest, k)
+        except TheoremViolation as exc:  # as verify: a failed certificate, no kke check
+            kke[str(k)], kke_checks[f"certificate k={k}"] = None, CheckResult("fail", exc.witness)
+            continue
         kke[str(k)], kke_checks[f"kke k={k}"] = kke_identity(forest, cert, struct.alpha3)
     violations = sorted(
         f"{name}: {cr.witness}" for name, cr in (checks | kke_checks).items() if cr.status == "fail"
@@ -111,10 +114,16 @@ def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
     }
 
 
+def _print_json(doc: dict) -> None:
+    import json  # only analyze and extremal print JSON
+
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
 def _cmd_analyze(args) -> int:
     forest = _load_forest(args.file)
     doc = _analysis_document(forest, _parse_k_list(args.k))
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _print_json(doc)
     return EXIT_VIOLATION if doc["violations"] else EXIT_OK
 
 
@@ -132,10 +141,9 @@ def _cmd_enumerate(args) -> int:
 
 def _check_tree(tree: Forest, k_list: tuple[int, ...]) -> tuple[int, tuple[str, ...], int]:
     """Per-tree verification work unit: one registry call over the structure
-    and the k-list's certificates; returns (mds count, failure notes, skipped checks)."""
+    and the k-list; returns (mds count, failure notes, skipped checks)."""
     struct = critical_structure(tree)
-    certs = [greedy_cover_matching(tree, k) for k in k_list]
-    checks = verify_structure_theorems(tree, struct, certs).items()
+    checks = verify_structure_theorems(tree, struct, k_list).items()
     failures = tuple(f"{name}: {cr.witness}" for name, cr in checks if cr.status == "fail")
     return struct.count, failures, sum(cr.status == "skipped" for _, cr in checks)
 
@@ -211,7 +219,7 @@ def _cmd_extremal(args) -> int:
             "trees_scanned": report.trees_scanned,
             "note": report.note,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
         if args.csv:
             _write_csv(args.csv, [{
                 "n": report.n, "trees": report.trees_scanned,
@@ -227,7 +235,7 @@ def _cmd_extremal(args) -> int:
         "predicted_codes": [canonical_code(t).text() for t in family],
         "family_edge_lists": [serialize_edge_list(normalize_indices(t)) for t in family],
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _print_json(doc)
     return EXIT_OK
 
 

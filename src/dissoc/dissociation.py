@@ -23,15 +23,14 @@ Counts are plain Python integers, so they are exact at any magnitude.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import EnumerationCapExceeded
-from .forest import PARENT_NONE, Forest, VertexSet
+from .forest import PARENT_NONE, Forest, VertexSet, _Frozen
 
 
-class DissociationResult(NamedTuple):
-    alpha3: int
-    count: int
+class DissociationResult(_Frozen):
+    _fields = ("alpha3", "count")
 
 
 def alpha3_count_dp(tree: Forest) -> DissociationResult:

@@ -17,10 +17,10 @@ holders of the overall record are decoded and coded, in one pass.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
-from .forest import CanonicalCode, Forest, canonical_code
+from .forest import Forest, _Frozen, canonical_code
 from .treegen import LevelSequence, forest_from_level_sequence, map_free_trees
 
 SWEEP_LIMIT = 18
@@ -117,16 +117,10 @@ def generate_extremal_family(n: int) -> list[Forest]:
     return _dedupe(trees)
 
 
-class ExtremalReport(NamedTuple):
-    n: int
-    formula_value: int
-    predicted_codes: tuple[CanonicalCode, ...]
-    observed_max: int | None
-    extremal_codes: tuple[CanonicalCode, ...] | None
-    match: bool | None
-    characterized: bool
-    trees_scanned: int | None
-    note: str = ""
+class ExtremalReport(_Frozen):
+    _fields = ("n", "formula_value", "predicted_codes", "observed_max", "extremal_codes",
+               "match", "characterized", "trees_scanned", "note")
+    _defaults = {"note": ""}
 
 
 def _close(fold: tuple) -> tuple:

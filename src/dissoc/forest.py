@@ -20,9 +20,9 @@ appearance.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import compress, count
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -38,10 +38,24 @@ class _EdgeError(ValueError):
 
 
 class _Frozen:
-    """Record over the attributes named in ``_fields``: compared, hashed and shown
-    by them alone; ``__init__`` fills ``__dict__``, and assignment is refused."""
+    """Record over the attributes named in ``_fields``, built from positional or
+    keyword values with ``_defaults`` for fields left out: compared, hashed and
+    shown by them alone; ``__init__`` fills ``__dict__``, and assignment is refused."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        d, fields = self.__dict__, self._fields
+        d.update(zip(fields, args))
+        d.update(kwargs)
+        distinct = len(d) == len(args) + len(kwargs)  # no field given twice, none past the last
+        if len(d) < len(fields):
+            for name, value in self._defaults.items():
+                d.setdefault(name, value)
+        if not distinct or len(d) != len(fields) or kwargs and not kwargs.keys() <= set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}; "
+                            f"got {len(args)} positional and keywords {sorted(kwargs)}")
 
     def _key(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -67,7 +81,7 @@ class VertexSet(_Frozen):
 
     _fields = ("bits", "n")
 
-    def __init__(self, bits: int, n: int) -> None:
+    def __init__(self, bits: int, n: int) -> None:  # faster: enumeration builds one per set
         d = self.__dict__
         d["bits"], d["n"] = bits, n
 
@@ -97,17 +111,8 @@ class VertexSet(_Frozen):
 class Forest(_Frozen):
     """Undirected simple acyclic graph on vertices 0..n-1."""
 
-    _fields = ("n", "edges", "adjacency", "labels")
-
-    def __init__(
-        self,
-        n: int,
-        edges: tuple[tuple[int, int], ...],
-        adjacency: tuple[tuple[int, ...], ...],
-        labels: tuple[str, ...] | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["n"], d["edges"], d["adjacency"], d["labels"] = n, edges, adjacency, labels
+    _fields = ("n", "edges", "adjacency", "labels")  # labels: tuple[str, ...] | None
+    _defaults = {"labels": None}
 
     @classmethod
     def from_edges(
@@ -237,10 +242,14 @@ def centroids(forest: Forest) -> tuple[int, ...]:
     return tuple(out)
 
 
-class CanonicalCode(NamedTuple):
-    """Relabeling-invariant identity of a tree; equal codes iff isomorphic."""
+@total_ordering
+class CanonicalCode(_Frozen):
+    """Relabeling-invariant identity of a tree, ordered by its bytes; equal iff isomorphic."""
 
-    code: bytes
+    _fields = ("code",)
+
+    def __lt__(self, other: CanonicalCode) -> bool:
+        return self.code < other.code if other.__class__ is CanonicalCode else NotImplemented
 
     def text(self) -> str:
         return self.code.decode("ascii")

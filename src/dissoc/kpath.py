@@ -21,27 +21,23 @@ the k-path cover algorithm of Bresar, Kardos, Katrenic and Semanisin,
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import GuardExceeded, TheoremViolation
-from .forest import PARENT_NONE, Forest, VertexSet
+from .forest import PARENT_NONE, Forest, VertexSet, _Frozen
 
 ALPHA_BRUTE_LIMIT = 26
 
 
-class PathFamily(NamedTuple):
-    """Vertex-disjoint k-paths, each an ordered vertex list."""
+class PathFamily(_Frozen):
+    """Vertex-disjoint k-paths, each an ordered vertex tuple."""
 
-    k: int
-    paths: tuple[tuple[int, ...], ...]
+    _fields = ("k", "paths")
 
 
-class CoverMatchingCertificate(NamedTuple):
-    """Equal-size k-vertex-cover / k-matching pair for one forest."""
+class CoverMatchingCertificate(_Frozen):
+    """Equal-size k-vertex-cover (a ``VertexSet``) / k-matching pair for one forest."""
 
-    cover: VertexSet
-    matching: PathFamily
-    k: int
+    _fields = ("cover", "matching", "k")
 
 
 def _farthest_in_mask(forest: Forest, start: int, mask: int) -> tuple[int, int, int]:
@@ -204,10 +200,9 @@ def greedy_cover_matching(forest: Forest, k: int) -> CoverMatchingCertificate:
             alive -= set(doomed)
     cover.sort()
     paths.sort()
+    # positional: the fast way to build a record, and verify builds these per tree and k
     return CoverMatchingCertificate(
-        cover=VertexSet.from_iterable(forest.n, cover),
-        matching=PathFamily(k=k, paths=tuple(paths)),
-        k=k,
+        VertexSet.from_iterable(forest.n, cover), PathFamily(k, tuple(paths)), k
     )
 
 

@@ -20,7 +20,6 @@ decodes a uniform random one.
 from __future__ import annotations
 
 import os
-from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .forest import PARENT_NONE, Forest, _Frozen
@@ -148,6 +147,8 @@ def free_tree_count(n: int) -> int:
 
 def pruefer_decode(seq: tuple[int, ...], n: int) -> Forest:
     """Standard decode: attach the smallest current leaf to each entry."""
+    from heapq import heapify, heappop, heappush  # only this decode needs a heap
+
     if n < 1:
         raise ValueError("order must be positive")
     if n == 1:

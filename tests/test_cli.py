@@ -11,6 +11,8 @@ from dissoc.errors import TheoremViolation
 from dissoc.forest import canonical_code, parse_edge_list
 from dissoc.structure import critical_structure
 
+from util import replaced
+
 LT8_TEXT = "u1 u2\nu2 u3\nu3 u4\nu1 v1\nu2 v2\nu3 v3\nu4 v4\n"
 P5_TEXT = "0 1\n1 2\n2 3\n3 4\n"
 
@@ -320,7 +322,8 @@ def test_analyze_reports_a_grouping_failure(capsys, monkeypatch, lt8_file):
     witness = "critical component with 3 edges: [(0, 1), (1, 2), (2, 3)]"
 
     def ungrouped(forest):
-        return critical_structure(forest)._replace(
+        return replaced(
+            critical_structure(forest),
             insulated_edges=None,
             critical_triples=None,
             grouping_failure=witness,
@@ -396,6 +399,42 @@ def test_verify_reports_a_failed_check_and_finishes_the_sweep(capsys, monkeypatc
     assert clean.count(row) == 1 and clean.endswith("total trees=8 failures=0\n")
     want = clean.replace(row, row.replace("failures=0", "failures=1") + f"  counterexample at n=3: {note}\n")
     assert out == want.replace("total trees=8 failures=0", "total trees=8 failures=1")
+
+
+def test_a_greedy_violation_fails_the_certificate_and_the_sweep_goes_on(
+    capsys, monkeypatch, tmp_path
+):
+    # a TheoremViolation of the greedy on P3, the one tree of order 3, fails
+    # "certificate k=3" with its witness and skips "kke k=3"; every order still runs
+    witness = "no 3-path through vertex 1 although its subtree reports one"
+    greedy = structure.greedy_cover_matching
+
+    def raises_on_p3(forest, k):
+        if forest.n == 3:
+            raise TheoremViolation(witness)
+        return greedy(forest, k)
+
+    argv = ("verify", "--n-max", "5", "--k-list", "3")
+    clean = run(capsys, *argv)[1]
+    monkeypatch.setattr(structure, "greedy_cover_matching", raises_on_p3)
+    monkeypatch.setattr(cli, "greedy_cover_matching", raises_on_p3)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "counterexample:" not in err
+    row = "n=3 trees=1 failures=0 max_count=3 formula=3 match=true\n"
+    note = f"  counterexample at n=3: certificate k=3: {witness}\n"
+    assert clean.count(row) == 1 and clean.endswith("total trees=8 failures=0\n")
+    assert out == clean.replace(row, row.replace("failures=0", "failures=1") + note).replace(
+        "total trees=8 failures=0", "total trees=8 failures=1")
+    assert len(out.splitlines()) == 5 + 1 + 1
+    assert "n=3 done in" in err and [line.split()[-1] for line in err.splitlines()] == [
+        "skipped=0", "skipped=0", "skipped=1", "skipped=0", "skipped=0"]
+    p3 = tmp_path / "p3.txt"
+    p3.write_text("a b\nb c\n")
+    code, out, _ = run(capsys, "analyze", str(p3), "--k", "2,3")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["violations"] == [f"certificate k=2: {witness}", f"certificate k=3: {witness}"]
+    assert doc["kke"] == {"2": None, "3": None}
 
 
 def _raise_alpha3(up):

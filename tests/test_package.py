@@ -12,6 +12,7 @@ import dissoc
 from dissoc import (
     CheckResult,
     DissociationResult,
+    ExtremalReport,
     VertexClassification,
     alpha3_count_dp,
     critical_structure,
@@ -21,6 +22,8 @@ from dissoc import (
 from dissoc.forest import CanonicalCode, Forest, VertexSet, canonical_code, parse_edge_list
 from dissoc.kpath import CoverMatchingCertificate, PathFamily
 from dissoc.treegen import LevelSequence
+
+from util import replaced
 
 SRC = Path(dissoc.__file__).resolve().parent.parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -52,7 +55,7 @@ def _records():
         (canonical_code(P3), "CanonicalCode(code=b'(()())')", CanonicalCode(b"(()())"), code),
         (alpha3_count_dp(P3), "DissociationResult(alpha3=2, count=3)", DissociationResult(2, 3),
          DissociationResult(2, 4)),
-        (s, P3_STRUCTURE, critical_structure(parse_edge_list("x y\ny z")), s._replace(eta=1)),
+        (s, P3_STRUCTURE, critical_structure(parse_edge_list("x y\ny z")), replaced(s, eta=1)),
         (s.classes, "VertexClassification(flexible=VertexSet(bits=7, n=3), "
          "static_included=VertexSet(bits=0, n=3), static_excluded=VertexSet(bits=0, n=3))",
          VertexClassification(VertexSet(7, 3), VertexSet(0, 3), VertexSet(0, 3)),
@@ -67,7 +70,7 @@ def _records():
          f"observed_max=2, extremal_codes=({code!r},), match=True, characterized=False, "
          f"trees_scanned=2, note='record holders at n=4 are not characterized; only the "
          f"record value is compared')",
-         exhaustive_extremal_check(4), report._replace(note="")),
+         exhaustive_extremal_check(4), replaced(report, note="")),
     ]
 
 
@@ -82,6 +85,13 @@ def test_record_repr_eq_and_hash(record, text, same, other):
     assert record != other
     # hashed over the field values in order, as the frozen dataclasses were
     assert hash(record) == hash(tuple(getattr(record, f) for f in record._fields))
+
+
+@pytest.mark.parametrize("record", [r[0] for r in RECORDS],
+                         ids=[type(r[0]).__name__ for r in RECORDS])
+def test_every_record_survives_a_pickle_round_trip(record):
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and hash(back) == hash(record) and repr(back) == repr(record)
 
 
 def test_forest_equality_ignores_the_cached_bfs():
@@ -103,6 +113,49 @@ def test_fields_refuse_assignment(record, field):
         delattr(record, field)
 
 
+def test_canonical_codes_sort_by_their_bytes():
+    texts = ("a b\nb c\nc d", "a b\na c\na d", "a b")
+    codes = [canonical_code(parse_edge_list(text)) for text in texts]
+    assert sorted(codes) == [CanonicalCode(c) for c in sorted(c.code for c in codes)]
+    low, high = CanonicalCode(b"(()())"), CanonicalCode(b"(())")
+    assert low < high and low <= high and high > low and high >= low and low <= low
+    assert not low < low and max(codes) == max(codes, key=lambda c: c.code)
+    with pytest.raises(TypeError):
+        low < (b"(())",)  # noqa: B015 - records are no longer tuples
+
+
+def test_fields_left_out_take_their_defaults():
+    assert CheckResult("pass") == CheckResult(status="pass") == CheckResult("pass", None)
+    assert CheckResult("pass").witness is None
+    report = exhaustive_extremal_check(4)
+    fields = {f: getattr(report, f) for f in report._fields if f != "note"}
+    assert ExtremalReport(**fields).note == ""
+    assert ExtremalReport(**fields) == replaced(report, note="")
+    assert Forest(1, (), ((),)).labels is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CheckResult(),  # status has no default
+    lambda: CheckResult(witness="w"),
+    lambda: DissociationResult(2),
+    lambda: DissociationResult(2, 3, 4),
+    lambda: DissociationResult(2, alpha3=2),
+    lambda: DissociationResult(2, counts=3),
+], ids=["no field", "no status", "missing", "too many", "twice", "unknown"])
+def test_a_record_built_with_a_field_missing_or_unknown_is_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_reading_a_field_a_record_does_not_have_is_an_error():
+    record = CheckResult("pass")
+    with pytest.raises(AttributeError):
+        record.witnesses  # noqa: B018
+    with pytest.raises(TypeError):
+        record[0]  # noqa: B018 - records are no longer tuples
+    assert not hasattr(alpha3_count_dp(P3), "eta") and not isinstance(record, tuple)
+
+
 def test_pickle_round_trip_of_a_forest_with_its_bfs_cached():
     forest = parse_edge_list("a b\nb c\nb d")
     order_parent = forest.bfs
@@ -121,7 +174,7 @@ def test_import_loads_every_module_and_no_optional_dependency():
     out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)],
                          capture_output=True, text=True, check=True).stdout
     loaded = set(out.split())
-    assert not loaded & {"multiprocessing", "csv", "dataclasses", "inspect"}
+    assert not loaded & {"multiprocessing", "csv", "dataclasses", "inspect", "json", "heapq"}
     ours = {f"dissoc.{p.stem}" for p in (SRC / "dissoc").glob("*.py") if p.stem != "__init__"}
     assert len(ours) == 8 and ours <= loaded, ours - loaded
 

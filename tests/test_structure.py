@@ -28,6 +28,7 @@ from util import (
     group_critical_edges_oracle,
     path,
     random_forest_with_isolated_vertices,
+    replaced,
     star,
     tree_k_path_sets,
 )
@@ -276,7 +277,7 @@ def _perturbed(field, i):
     s = critical_structure(MIXED)
     sizes = list(getattr(s, field))
     sizes[i] = s.alpha3
-    return s, verify_structure_theorems(MIXED, s._replace(**{field: tuple(sizes)}))
+    return s, verify_structure_theorems(MIXED, replaced(s, **{field: tuple(sizes)}))
 
 
 def test_size_checks_fail_when_a_maximum_set_misses_a_critical_edge():
@@ -314,7 +315,7 @@ def test_size_checks_fail_when_a_maximum_set_holds_a_triple_middle_alone():
 
 def test_an_inconsistent_critical_edge_fails_the_edge_set_check():
     witness = "deleting edge (0, 1) moved alpha3 from 2 to 4"
-    s = critical_structure(path(3))._replace(edge_failure=witness)
+    s = replaced(critical_structure(path(3)), edge_failure=witness)
     rep = verify_structure_theorems(path(3), s)
     assert rep.pop("critical_edge_sets_coincide") == CheckResult("fail", witness)
     assert {cr.status for cr in rep.values()} == {"pass"}
@@ -360,7 +361,8 @@ def test_grouping_matches_the_components_of_a_built_forest():
 
 def test_grouping_failure_fails_one_check_and_skips_the_grouped_ones():
     witness = "critical component with 3 edges: [(0, 1), (1, 2), (2, 3)]"
-    s = critical_structure(path(3))._replace(
+    s = replaced(
+        critical_structure(path(3)),
         insulated_edges=None,
         critical_triples=None,
         grouping_failure=witness,

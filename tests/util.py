@@ -1,13 +1,13 @@
-"""Shared test helpers: tiny builders, seeded random forests, a brute-force isomorphism oracle,
-every labeled tree of an order, every valid level sequence of an order, the allocating
-successor walk over the canonical ones, a level-sequence decoder through the validating
-constructor, the dissociation-set test, the subset scan for every maximum dissociation set,
-a second counting DP with its own state layout, per-query oracles for the vertex classes and
-the critical edges built on it, the critical-edge grouping from a built forest, the structure
-checks over every listed maximum set and as count identities over membership counts, the
-masked vertex classes by subset scan, the constructive maximum set, the per-edge mu3 loop,
-exact k-path packing and cover searches on forests, and definition-level k-path searches on
-arbitrary graphs."""
+"""Shared test helpers: a record copy with fields changed, tiny builders, seeded random forests, a
+brute-force isomorphism oracle, every labeled tree of an order, every valid level sequence of
+an order, the allocating successor walk over the canonical ones, a level-sequence decoder
+through the validating constructor, the dissociation-set test, the subset scan for every
+maximum dissociation set, a second counting DP with its own state layout, per-query oracles for
+the vertex classes and the critical edges built on it, the critical-edge grouping from a built
+forest, the structure checks over every listed maximum set and as count identities over
+membership counts, the masked vertex classes by subset scan, the constructive maximum set, the
+per-edge mu3 loop, exact k-path packing and cover searches on forests, and definition-level
+k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -32,6 +32,12 @@ BRUTE_FORCE_LIMIT = 26
 PRUEFER_LIMIT = 9
 MU_BRUTE_LIMIT = 18
 TAU_BRUTE_LIMIT = 26
+
+
+def replaced(record, **changes):
+    """A copy of a ``dissoc`` record with the named fields changed."""
+    fields = {f: changes.pop(f, getattr(record, f)) for f in record._fields}
+    return type(record)(**fields, **changes)  # a name left in changes is refused
 
 
 def path(n: int) -> Forest:
