@@ -29,8 +29,7 @@ from .forest import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .kpath import greedy_cover_matching
-from .structure import CheckResult, critical_structure, kke_identity, verify_structure_theorems
+from .structure import critical_structure, kpath_checks, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
 EXIT_OK = 0
@@ -87,13 +86,9 @@ def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
         triples = [[forest.label(a), forest.label(b), forest.label(c)]
                    for a, b, c in struct.critical_triples]
     kke, kke_checks = {}, {}
-    for k in k_values:
-        try:
-            cert = greedy_cover_matching(forest, k)
-        except TheoremViolation as exc:  # as verify: a failed certificate, no kke check
-            kke[str(k)], kke_checks[f"certificate k={k}"] = None, CheckResult("fail", exc.witness)
-            continue
-        kke[str(k)], kke_checks[f"kke k={k}"] = kke_identity(forest, cert, struct.alpha3)
+    for k in k_values:  # the same per-k checks as verify
+        kke[str(k)], kke_checks[f"certificate k={k}"], kke_checks[f"kke k={k}"] = kpath_checks(
+            forest, k, struct.alpha3)
     violations = sorted(
         f"{name}: {cr.witness}" for name, cr in (checks | kke_checks).items() if cr.status == "fail"
     )

@@ -40,35 +40,27 @@ class CoverMatchingCertificate(_Frozen):
     _fields = ("cover", "matching", "k")
 
 
-def _farthest_in_mask(forest: Forest, start: int, mask: int) -> tuple[int, int, int]:
-    """BFS inside ``mask``; returns (farthest vertex, distance, visited bits)."""
-    dist = {start: 0}
-    queue = [start]
-    far, far_d = start, 0
-    visited = 1 << start
-    for v in queue:
-        dv = dist[v] + 1
-        for w in forest.adjacency[v]:
-            if (mask >> w) & 1 and not (visited >> w) & 1:
-                visited |= 1 << w
-                dist[w] = dv
-                queue.append(w)
-                if dv > far_d or (dv == far_d and w < far):
-                    far, far_d = w, dv
-    return far, far_d, visited
-
-
-def _longest_path_in_mask(forest: Forest, mask: int) -> int:
-    """Longest path order inside the induced subforest on the mask."""
+def _longest_path(forest: Forest, mask: int) -> int:
+    """Order of the longest path in the subforest induced by ``mask``, from one
+    reverse pass over ``forest.bfs``: a mask vertex whose parent is outside the
+    mask roots a component, and each vertex keeps its two tallest children in
+    the mask, so the longest path through it has 1 + tallest + second vertices."""
+    order, parent = forest.bfs
+    tallest, second = [0] * forest.n, [0] * forest.n
     best = 0
-    remaining = mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        a, _, comp = _farthest_in_mask(forest, start, remaining)
-        _, d, _ = _farthest_in_mask(forest, a, comp)
-        remaining &= ~comp
-        if d + 1 > best:
-            best = d + 1
+    for v in reversed(order):
+        if not mask >> v & 1:
+            continue
+        h = tallest[v]
+        if h + second[v] >= best:
+            best = h + second[v] + 1
+        p = parent[v]
+        if p != PARENT_NONE and mask >> p & 1:
+            h += 1
+            if h > tallest[p]:
+                tallest[p], second[p] = h, tallest[p]
+            elif h > second[p]:
+                second[p] = h
     return best
 
 
@@ -89,7 +81,7 @@ def alpha_k_brute(forest: Forest, k: int, guard: int = ALPHA_BRUTE_LIMIT) -> int
                 # no 2-path means an independent set
                 if all(masks[v] & bits == 0 for v in members):
                     return size
-            elif _longest_path_in_mask(forest, bits) < k:
+            elif _longest_path(forest, bits) < k:
                 return size
     raise AssertionError("unreachable: the empty set always qualifies")
 
@@ -307,6 +299,6 @@ def verify_certificate(forest: Forest, cert: CoverMatchingCertificate) -> list[s
             f"cover size {len(cert.cover)} != matching size {len(cert.matching.paths)}"
         )
     alive = ((1 << forest.n) - 1) & ~cert.cover.bits
-    if _longest_path_in_mask(forest, alive) >= k:
+    if _longest_path(forest, alive) >= k:
         problems.append(f"a {k}-path survives removal of the cover")
     return problems

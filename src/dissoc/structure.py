@@ -22,9 +22,9 @@ sets are two independent computations agreeing.
 ``verify_structure_theorems`` is the one registry of per-tree checks: the
 theorems plus the branching bound on the number of maximum sets, read from
 a given structure, the agreement of the alpha3- and mu3-critical edge
-sets, and for each k it is given the greedy k-path cover/matching
-certificate itself and the k-König–Egerváry identity alpha_k + mu_k = n
-(``kke_identity``). Each check ends as pass, fail with a witness, or skip.
+sets, and for each k the checks of ``kpath_checks``: the greedy k-path
+cover/matching certificate itself and the k-König–Egerváry identity
+alpha_k + mu_k = n. Each check ends as pass, fail with a witness, or skip.
 
 The claims about every maximum set are size tests, exact at any number
 of sets: a claim holds for every maximum set iff the largest set breaking
@@ -44,7 +44,7 @@ from typing import Sequence
 from .dissociation import _classes, _rerooted, _total
 from .errors import TheoremViolation
 from .forest import Forest, VertexSet, _Frozen
-from .kpath import CoverMatchingCertificate, alpha_k_brute, greedy_cover_matching
+from .kpath import alpha_k_brute, greedy_cover_matching
 from .kpath import mu3_edge_deletions, verify_certificate
 
 Edge = tuple[int, int]
@@ -212,19 +212,30 @@ def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[
     return iso, edge_ends
 
 
-def kke_identity(
-    forest: Forest, cert: CoverMatchingCertificate, alpha3: int
-) -> tuple[dict, CheckResult]:
-    """alpha_k + mu_k == n for the k of ``cert``: alpha_k is the counting DP's
-    ``alpha3`` at k=3 and the subset search ``alpha_k_brute`` otherwise, mu_k
-    the size of the certificate's matching. Returns the record
-    ``{"alpha_k", "mu_k", "holds"}`` and the check's outcome, whose witness
-    is ``alpha_k=… mu_k=… n=…``."""
-    alpha = alpha3 if cert.k == 3 else alpha_k_brute(forest, cert.k)
+def kpath_checks(
+    forest: Forest, k: int, alpha3: int
+) -> tuple[dict | None, CheckResult, CheckResult]:
+    """The checks of one k: the ``greedy_cover_matching`` certificate through
+    ``verify_certificate``, and alpha_k + mu_k == n with alpha_k the counting
+    DP's ``alpha3`` at k=3 and ``alpha_k_brute`` otherwise, mu_k the size of
+    the certificate's matching. Returns the record ``{"alpha_k", "mu_k",
+    "holds"}``, the outcome of ``certificate k=K``, whose witness joins the
+    problems found by ``; ``, and that of ``kke k=K``, whose witness is
+    ``alpha_k=… mu_k=… n=…``. A TheoremViolation of the greedy is the witness
+    of ``certificate k=K``; the record is then None and ``kke k=K`` skipped."""
+    try:
+        cert = greedy_cover_matching(forest, k)
+    except TheoremViolation as exc:
+        return None, _failed(exc.witness), _skipped("no certificate")
+    problems = verify_certificate(forest, cert)
+    alpha = alpha3 if k == 3 else alpha_k_brute(forest, k)
     mu = len(cert.matching.paths)
     holds = alpha + mu == forest.n
-    record = {"alpha_k": alpha, "mu_k": mu, "holds": holds}
-    return record, _passed() if holds else _failed(f"alpha_k={alpha} mu_k={mu} n={forest.n}")
+    return (
+        {"alpha_k": alpha, "mu_k": mu, "holds": holds},
+        _failed("; ".join(problems)) if problems else _passed(),
+        _passed() if holds else _failed(f"alpha_k={alpha} mu_k={mu} n={forest.n}"),
+    )
 
 
 def verify_structure_theorems(
@@ -238,10 +249,7 @@ def verify_structure_theorems(
     The structure checks come first, then ``critical_edge_sets_coincide``:
     the alpha3-critical edges of ``structure`` equal those of
     ``critical_edges_mu3``, an independent pass. For each k of ``k_values``
-    ``certificate k=K`` holds the problems ``verify_certificate`` finds in
-    the ``greedy_cover_matching`` certificate, joined by ``; ``, and
-    ``kke k=K`` the identity of ``kke_identity``. A TheoremViolation of the
-    greedy is the witness of ``certificate k=K``, and ``kke k=K`` is skipped.
+    ``certificate k=K`` and ``kke k=K`` are the outcomes of ``kpath_checks``.
 
     A failed check is reported with its witness. An inconsistent alpha3
     critical edge (``structure.edge_failure``) or a TheoremViolation from
@@ -252,12 +260,8 @@ def verify_structure_theorems(
     ``mds_meets_exact_pattern`` are the size tests of the module docstring,
     exact however many maximum sets there are.
     """
-    certs: dict[int, CoverMatchingCertificate | CheckResult] = {}
-    for k in k_values:  # all before any check: interleaved with them, verify ran 3-6% slower
-        try:
-            certs[k] = greedy_cover_matching(forest, k)
-        except TheoremViolation as exc:
-            certs[k] = _failed(exc.witness)
+    # all before any check: with the greedy interleaved with them, verify ran 3-6% slower
+    per_k = [(k, kpath_checks(forest, k, structure.alpha3)) for k in k_values]
     checks: dict[str, CheckResult] = {}
     cls = structure.classes
     a_set = set(cls.static_included)
@@ -376,11 +380,6 @@ def verify_structure_theorems(
             bad = exc.witness
     checks["critical_edge_sets_coincide"] = _failed(bad) if bad else _passed()
 
-    for k, cert in certs.items():
-        if isinstance(cert, CheckResult):  # the greedy's own claims failed
-            checks[f"certificate k={k}"], checks[f"kke k={k}"] = cert, _skipped("no certificate")
-            continue
-        problems = verify_certificate(forest, cert)
-        checks[f"certificate k={k}"] = _failed("; ".join(problems)) if problems else _passed()
-        checks[f"kke k={k}"] = kke_identity(forest, cert, structure.alpha3)[1]
+    for k, (_, cert_check, kke_check) in per_k:
+        checks[f"certificate k={k}"], checks[f"kke k={k}"] = cert_check, kke_check
     return checks

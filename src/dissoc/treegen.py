@@ -20,6 +20,7 @@ decodes a uniform random one.
 from __future__ import annotations
 
 import os
+import random
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .forest import PARENT_NONE, Forest, _Frozen

@@ -351,6 +351,26 @@ def test_analyze_reports_a_failed_kke_identity(capsys, monkeypatch, p5_file):
     assert doc["violations"] == ["kke k=2: alpha_k=0 mu_k=2 n=5"]
 
 
+def test_analyze_reports_a_bad_certificate(capsys, monkeypatch, p5_file):
+    # analyze checks each certificate as verify does: a path over a missing
+    # edge is a violation, though alpha_k + mu_k == n still holds
+    greedy = structure.greedy_cover_matching
+
+    def tampered(forest, k):
+        cert = greedy(forest, k)
+        return replaced(cert, matching=replaced(cert.matching, paths=((0, 2, 4),)))
+
+    monkeypatch.setattr(structure, "greedy_cover_matching", tampered)
+    code, out, _ = run(capsys, "analyze", p5_file)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["kke"]["3"] == {"alpha_k": 4, "mu_k": 1, "holds": True}
+    assert doc["violations"] == [
+        "certificate k=3: path (0, 2, 4) uses missing edge (0, 2); "
+        "path (0, 2, 4) uses missing edge (2, 4)"
+    ]
+
+
 def _mu3_raises(fn, forest):
     raise TheoremViolation("deleting edge (0, 1) moved mu3 from 1 to 3")
 
@@ -417,7 +437,6 @@ def test_a_greedy_violation_fails_the_certificate_and_the_sweep_goes_on(
     argv = ("verify", "--n-max", "5", "--k-list", "3")
     clean = run(capsys, *argv)[1]
     monkeypatch.setattr(structure, "greedy_cover_matching", raises_on_p3)
-    monkeypatch.setattr(cli, "greedy_cover_matching", raises_on_p3)
     code, out, err = run(capsys, *argv)
     assert code == 3 and "counterexample:" not in err
     row = "n=3 trees=1 failures=0 max_count=3 formula=3 match=true\n"

@@ -9,6 +9,7 @@ from dissoc.forest import Forest, VertexSet
 from dissoc.kpath import (
     CoverMatchingCertificate,
     PathFamily,
+    _longest_path,
     alpha_k_brute,
     greedy_cover_matching,
     mu3_edge_deletions,
@@ -21,6 +22,7 @@ from util import (
     alpha_k_raw,
     critical_edges_mu3_oracle,
     deadline,
+    longest_path_in_mask,
     longest_path_order,
     mu_k_brute,
     mu_k_raw,
@@ -39,6 +41,25 @@ def test_longest_path_order_examples():
     assert longest_path_order(star(4)) == 3
     assert longest_path_order(lt8()) == 6
     assert longest_path_order(Forest.from_edges(5, [(0, 1), (2, 3), (3, 4)])) == 3
+
+
+def test_one_pass_longest_path_matches_the_two_bfs_oracle_on_every_mask():
+    checked = 0
+    for n in range(1, 9):
+        for t in free_trees(n):
+            for mask in range(1 << n):
+                assert _longest_path(t, mask) == longest_path_in_mask(t, mask), (t.edges, mask)
+                checked += 1
+    assert checked == sum(c << n for n, c in enumerate((1, 1, 1, 2, 3, 6, 11, 23), 1))
+
+
+def test_one_pass_longest_path_matches_the_two_bfs_oracle_on_random_forest_masks():
+    rng = random.Random(2011)
+    for _ in range(300):
+        forest = random_forest_with_isolated_vertices(rng, 30)
+        for mask in [(1 << forest.n) - 1] + [rng.getrandbits(forest.n) for _ in range(20)]:
+            assert _longest_path(forest, mask) == longest_path_in_mask(forest, mask), (
+                forest.edges, mask)
 
 
 def test_alpha_k_examples():

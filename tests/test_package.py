@@ -1,9 +1,12 @@
 """The package surface: record behaviour, what importing loads, and the README example."""
 
+import importlib
 import pickle
 import re
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -177,6 +180,29 @@ def test_import_loads_every_module_and_no_optional_dependency():
     assert not loaded & {"multiprocessing", "csv", "dataclasses", "inspect", "json", "heapq"}
     ours = {f"dissoc.{p.stem}" for p in (SRC / "dissoc").glob("*.py") if p.stem != "__init__"}
     assert len(ours) == 8 and ours <= loaded, ours - loaded
+
+
+def _functions(module):
+    """Every function a module defines, its methods and property getters included."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            for attr in vars(obj).values():
+                attr = getattr(attr, "__func__", getattr(attr, "func", getattr(attr, "fget", attr)))
+                if isinstance(attr, types.FunctionType):
+                    yield attr
+        elif isinstance(obj, types.FunctionType):
+            yield obj
+
+
+def test_every_annotation_resolves():
+    # string annotations (from __future__ import annotations) must name what the module imports
+    fns = [fn for path in sorted((SRC / "dissoc").glob("*.py"))
+           for fn in _functions(importlib.import_module(f"dissoc.{path.stem}".removesuffix(".__init__")))]
+    assert dissoc.random_labeled_tree in fns and dissoc.Forest.from_edges.__func__ in fns
+    for fn in fns:
+        typing.get_type_hints(fn)  # raises NameError on a name the module never bound
 
 
 def test_readme_library_example():

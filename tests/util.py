@@ -6,8 +6,8 @@ maximum dissociation set, a second counting DP with its own state layout, per-qu
 the vertex classes and the critical edges built on it, the critical-edge grouping from a built
 forest, the structure checks over every listed maximum set and as count identities over
 membership counts, the masked vertex classes by subset scan, the constructive maximum set, the
-per-edge mu3 loop, exact k-path packing and cover searches on forests, and definition-level
-k-path searches on arbitrary graphs."""
+per-edge mu3 loop, the two-BFS longest path in a vertex mask, exact k-path packing and cover
+searches on forests, and definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from itertools import combinations, product
 from dissoc.dissociation import enumerate_mds
 from dissoc.errors import GuardExceeded, TheoremViolation
 from dissoc.forest import PARENT_NONE, Forest, VertexSet, centroids, parse_edge_list
-from dissoc.kpath import _longest_path_in_mask, greedy_cover_matching
+from dissoc.kpath import greedy_cover_matching
 from dissoc.structure import (
     CheckResult,
     CriticalStructure,
@@ -604,11 +604,42 @@ def critical_edges_mu3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _farthest_in_mask(forest: Forest, start: int, mask: int) -> tuple[int, int, int]:
+    """BFS inside ``mask``; returns (farthest vertex, distance, visited bits)."""
+    dist = {start: 0}
+    queue = [start]
+    far, far_d = start, 0
+    visited = 1 << start
+    for v in queue:
+        dv = dist[v] + 1
+        for w in forest.adjacency[v]:
+            if (mask >> w) & 1 and not (visited >> w) & 1:
+                visited |= 1 << w
+                dist[w] = dv
+                queue.append(w)
+                if dv > far_d or (dv == far_d and w < far):
+                    far, far_d = w, dv
+    return far, far_d, visited
+
+
+def longest_path_in_mask(forest: Forest, mask: int) -> int:
+    """Longest path order inside the induced subforest on the mask: per component,
+    a BFS from its least vertex to the farthest one, then a second BFS from that."""
+    best = 0
+    remaining = mask
+    while remaining:
+        start = (remaining & -remaining).bit_length() - 1
+        a, _, comp = _farthest_in_mask(forest, start, remaining)
+        _, d, _ = _farthest_in_mask(forest, a, comp)
+        remaining &= ~comp
+        if d + 1 > best:
+            best = d + 1
+    return best
+
+
 def longest_path_order(forest: Forest) -> int:
     """Maximum number of vertices on any path; two-pass search per component."""
-    if forest.n == 0:
-        return 0
-    return _longest_path_in_mask(forest, (1 << forest.n) - 1)
+    return longest_path_in_mask(forest, (1 << forest.n) - 1)
 
 
 def tree_k_path_sets(forest: Forest, k: int) -> list[int]:
@@ -676,7 +707,7 @@ def tau_k_brute(forest: Forest, k: int, guard: int = TAU_BRUTE_LIMIT) -> int:
             bits = full
             for v in cut:
                 bits &= ~(1 << v)
-            if _longest_path_in_mask(forest, bits) < k:
+            if longest_path_in_mask(forest, bits) < k:
                 return size
     raise AssertionError("unreachable: removing everything kills all paths")
 
