@@ -29,6 +29,7 @@ from .forest import (
     parse_edge_list,
     serialize_edge_list,
 )
+from .kpath import ALPHA_BRUTE_LIMIT
 from .structure import critical_structure, kpath_checks, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
@@ -77,6 +78,9 @@ def _labels(forest: Forest, vertices) -> list[str]:
 
 
 def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
+    if forest.n > ALPHA_BRUTE_LIMIT and any(k != 3 for k in k_values):  # before any work
+        raise GuardExceeded(f"alpha_k brute force limited to n <= {ALPHA_BRUTE_LIMIT}, "
+                            f"got {forest.n}")
     struct = critical_structure(forest)
     cls = struct.classes
     checks = verify_structure_theorems(forest, struct)

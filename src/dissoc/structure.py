@@ -19,12 +19,12 @@ set are tested on.
 structure. ``critical_edges_mu3`` reads the rerooted 3-path packing pass
 of ``kpath``, which shares no code with the counting DP, so equal edge
 sets are two independent computations agreeing.
-``verify_structure_theorems`` is the one registry of per-tree checks: the
-theorems plus the branching bound on the number of maximum sets, read from
-a given structure, the agreement of the alpha3- and mu3-critical edge
-sets, and for each k the checks of ``kpath_checks``: the greedy k-path
-cover/matching certificate itself and the k-König–Egerváry identity
-alpha_k + mu_k = n. Each check ends as pass, fail with a witness, or skip.
+``verify_structure_theorems`` is the one registry of per-tree checks: a
+table of witness functions for the theorems, the branching bound on the
+number of maximum sets and the agreement of the alpha3- and mu3-critical
+edge sets, then for each k the greedy k-path cover/matching certificate and
+the k-König–Egerváry identity alpha_k + mu_k = n of ``kpath_checks``. Each
+check ends as pass, fail with a witness, or skip.
 
 The claims about every maximum set are size tests, exact at any number
 of sets: a claim holds for every maximum set iff the largest set breaking
@@ -80,16 +80,9 @@ class CheckResult(_Frozen):
 _PASS = CheckResult("pass")  # records are immutable, so every pass shares one
 
 
-def _passed() -> CheckResult:
-    return _PASS
-
-
-def _failed(witness: str) -> CheckResult:
-    return CheckResult("fail", witness)
-
-
-def _skipped(reason: str) -> CheckResult:
-    return CheckResult("skipped", reason)
+def _outcome(witness: str | None) -> CheckResult:
+    """The one rule: no witness passes, a witness fails with it."""
+    return _PASS if witness is None else CheckResult("fail", witness)
 
 
 def critical_structure(forest: Forest) -> CriticalStructure:
@@ -198,9 +191,9 @@ def classify_vertices(forest: Forest) -> VertexClassification:
     return critical_structure(forest).classes
 
 
-def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[int]]:
-    """Isolated vertices and endpoints of isolated edges inside the induced
-    subgraph on the static-included class."""
+def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[int], set[int]]:
+    """The static-included class as a set, and the isolated vertices and the
+    endpoints of isolated edges of the subgraph it induces."""
     bits = included.bits
     iso, edge_ends = set(), set()
     for v in included:
@@ -209,33 +202,142 @@ def _static_profile(forest: Forest, included: VertexSet) -> tuple[set[int], set[
             iso.add(v)
         elif len(inside) == 1:
             edge_ends.add(v)
-    return iso, edge_ends
+    return set(included), iso, edge_ends
 
 
 def kpath_checks(
     forest: Forest, k: int, alpha3: int
 ) -> tuple[dict | None, CheckResult, CheckResult]:
     """The checks of one k: the ``greedy_cover_matching`` certificate through
-    ``verify_certificate``, and alpha_k + mu_k == n with alpha_k the counting
-    DP's ``alpha3`` at k=3 and ``alpha_k_brute`` otherwise, mu_k the size of
-    the certificate's matching. Returns the record ``{"alpha_k", "mu_k",
-    "holds"}``, the outcome of ``certificate k=K``, whose witness joins the
-    problems found by ``; ``, and that of ``kke k=K``, whose witness is
-    ``alpha_k=… mu_k=… n=…``. A TheoremViolation of the greedy is the witness
-    of ``certificate k=K``; the record is then None and ``kke k=K`` skipped."""
+    ``verify_certificate`` (``certificate k=K``, its problems joined by ``; ``),
+    and alpha_k + mu_k == n (``kke k=K``, witness ``alpha_k=… mu_k=… n=…``),
+    alpha_k the counting DP's ``alpha3`` at k=3 and ``alpha_k_brute`` otherwise
+    and mu_k the size of the certificate's matching; returned after the record
+    ``{"alpha_k", "mu_k", "holds"}``. A TheoremViolation of the greedy is the
+    witness of ``certificate k=K``; the record is then None, ``kke k=K`` skipped."""
     try:
         cert = greedy_cover_matching(forest, k)
     except TheoremViolation as exc:
-        return None, _failed(exc.witness), _skipped("no certificate")
+        return None, _outcome(exc.witness), CheckResult("skipped", "no certificate")
     problems = verify_certificate(forest, cert)
     alpha = alpha3 if k == 3 else alpha_k_brute(forest, k)
     mu = len(cert.matching.paths)
     holds = alpha + mu == forest.n
     return (
         {"alpha_k": alpha, "mu_k": mu, "holds": holds},
-        _failed("; ".join(problems)) if problems else _passed(),
-        _passed() if holds else _failed(f"alpha_k={alpha} mu_k={mu} n={forest.n}"),
+        _outcome("; ".join(problems) if problems else None),
+        _outcome(None if holds else f"alpha_k={alpha} mu_k={mu} n={forest.n}"),
     )
+
+
+def _flexible_iff_critical_endpoint(forest, structure, static):
+    endpoints = {v for e in structure.critical_edges for v in e}
+    flexible = set(structure.classes.flexible)
+    if flexible != endpoints:
+        return f"flexible={sorted(flexible)} endpoints={sorted(endpoints)}"
+
+
+def _critical_components_are_edge_or_3path(forest, structure, static):
+    return structure.grouping_failure
+
+
+def _insulated_endpoint_anchored(forest, structure, static):
+    """Each end of an insulated edge has exactly one static-included neighbour,
+    and that one is isolated in the static-included class."""
+    included, iso, _ = static
+    for e in structure.insulated_edges:
+        for v in e:
+            anchors = [w for w in forest.adjacency[v] if w in included]
+            if len(anchors) != 1 or anchors[0] not in iso:
+                return f"insulated edge {e}: endpoint {v} anchors {anchors}"
+
+
+def _triple_avoids_static_included(forest, structure, static):
+    included = static[0]
+    for triple in structure.critical_triples:
+        for v in triple:
+            hits = [w for w in forest.adjacency[v] if w in included]
+            if hits:
+                return f"triple {triple}: vertex {v} adjacent to {hits}"
+
+
+def _count_within_branching_bound(forest, structure, static):
+    """At most 3^x * 2^ins maximum sets, x critical 3-paths and ins insulated edges."""
+    x, ins = len(structure.critical_triples), len(structure.insulated_edges)
+    bound = 3**x * 2**ins
+    if structure.count > bound:
+        return f"count {structure.count} exceeds 3^{x} * 2^{ins} = {bound}"
+
+
+def _alpha3_equals_static_plus_critical(forest, structure, static):
+    included, eta = len(structure.classes.static_included), len(structure.critical_edges)
+    if structure.alpha3 != included + eta:
+        return f"alpha3={structure.alpha3} static={included} eta={eta}"
+
+
+def _static_excluded_neighbor_rule(forest, structure, static):
+    """A static-excluded vertex with p isolated and q edge-end static-included
+    neighbours has p + 2q >= 4 or p == 3. In a forest each of the q ends has its
+    own partner, so the rule also gives at least three static-included vertices."""
+    _, iso, edge_ends = static
+    for v in structure.classes.static_excluded:
+        p = sum(1 for w in forest.adjacency[v] if w in iso)
+        q = sum(1 for w in forest.adjacency[v] if w in edge_ends)
+        if not (p + 2 * q >= 4 or p == 3):
+            return f"excluded vertex {v} has p={p} q={q}"
+
+
+def _every_mds_hits_each_critical_edge(forest, structure, static):
+    for e, size in zip(structure.critical_edges, structure.neither_end):
+        if size >= structure.alpha3:
+            return f"a maximum set holds neither end of critical edge {e}"
+
+
+def _mds_meets_exact_pattern(forest, structure, static):
+    """Every maximum set takes one end of each insulated edge and two vertices
+    of each critical 3-path."""
+    alpha3 = structure.alpha3
+    neither = dict(zip(structure.critical_edges, structure.neither_end))
+    both = dict(zip(structure.critical_edges, structure.both_ends))
+    for e in structure.insulated_edges:
+        if neither[e] >= alpha3 or both[e] >= alpha3:
+            took = "neither end" if neither[e] >= alpha3 else "both ends"
+            return f"insulated edge {e}: a maximum set takes {took}"
+    for (a, m, b), alone in zip(structure.critical_triples, structure.middle_alone):
+        if max(neither[min(a, m), max(a, m)], neither[min(m, b), max(m, b)], alone) >= alpha3:
+            return f"triple {(a, m, b)}: a maximum set holds fewer than 2 of its vertices"
+
+
+def _critical_edge_sets_coincide(forest, structure, static):
+    """The alpha3-critical edges are the mu3-critical edges of an independent pass.
+    An inconsistent alpha3-critical edge, ``structure.edge_failure``, or a
+    TheoremViolation of ``critical_edges_mu3`` is the witness."""
+    if structure.edge_failure is not None:
+        return structure.edge_failure
+    try:
+        if set(structure.critical_edges) != set(critical_edges_mu3(forest)):
+            return "alpha3 and mu3 sets differ"
+    except TheoremViolation as exc:
+        return exc.witness
+
+
+# (name, check, reads_grouping) in report order; a new check is one more entry. Each
+# check(forest, structure, static) returns the witness of its first failure, or None when
+# it holds; static is the static-included set, its isolated vertices and the ends of its
+# isolated edges.
+_CHECKS = (
+    ("flexible_iff_critical_endpoint", _flexible_iff_critical_endpoint, False),
+    ("critical_components_are_edge_or_3path", _critical_components_are_edge_or_3path, False),
+    ("insulated_endpoint_anchored_in_static_included", _insulated_endpoint_anchored, True),
+    ("triple_avoids_static_included", _triple_avoids_static_included, True),
+    ("count_within_branching_bound", _count_within_branching_bound, True),
+    ("alpha3_equals_static_plus_critical", _alpha3_equals_static_plus_critical, False),
+    ("static_excluded_neighbor_rule", _static_excluded_neighbor_rule, False),
+    ("every_mds_hits_each_critical_edge", _every_mds_hits_each_critical_edge, False),
+    ("mds_meets_exact_pattern", _mds_meets_exact_pattern, True),
+    ("critical_edge_sets_coincide", _critical_edge_sets_coincide, False),
+)
+_UNAVAILABLE = CheckResult("skipped", "critical structure unavailable")
 
 
 def verify_structure_theorems(
@@ -244,142 +346,19 @@ def verify_structure_theorems(
     k_values: Sequence[int] = (),
 ) -> dict[str, CheckResult]:
     """Run every per-tree check on one tree against its ``critical_structure``
-    and report each outcome by name, in a fixed order.
-
-    The structure checks come first, then ``critical_edge_sets_coincide``:
-    the alpha3-critical edges of ``structure`` equal those of
-    ``critical_edges_mu3``, an independent pass. For each k of ``k_values``
-    ``certificate k=K`` and ``kke k=K`` are the outcomes of ``kpath_checks``.
-
-    A failed check is reported with its witness. An inconsistent alpha3
-    critical edge (``structure.edge_failure``) or a TheoremViolation from
-    ``critical_edges_mu3`` is the witness of ``critical_edge_sets_coincide``.
-    A critical component of more than three vertices fails
-    ``critical_components_are_edge_or_3path`` and skips the checks that read
-    the grouping. ``every_mds_hits_each_critical_edge`` and
-    ``mds_meets_exact_pattern`` are the size tests of the module docstring,
-    exact however many maximum sets there are.
-    """
+    and report each outcome by name, in a fixed order: the checks of
+    ``_CHECKS``, then for each k of ``k_values`` ``certificate k=K`` and
+    ``kke k=K``, the outcomes of ``kpath_checks``. A check passes with no
+    witness and fails with the one it returns; one that reads the grouping
+    of the critical edges is skipped while ``structure.grouping_failure``,
+    the witness of ``critical_components_are_edge_or_3path``, is set."""
     # all before any check: with the greedy interleaved with them, verify ran 3-6% slower
     per_k = [(k, kpath_checks(forest, k, structure.alpha3)) for k in k_values]
-    checks: dict[str, CheckResult] = {}
-    cls = structure.classes
-    a_set = set(cls.static_included)
-    crit = structure.critical_edges
-
-    # flexible vertices are exactly the endpoints of critical edges
-    endpoints = {v for e in crit for v in e}
-    flexible = set(cls.flexible)
-    if flexible == endpoints:
-        checks["flexible_iff_critical_endpoint"] = _passed()
-    else:
-        checks["flexible_iff_critical_endpoint"] = _failed(
-            f"flexible={sorted(flexible)} endpoints={sorted(endpoints)}"
-        )
-
-    # critical components must be single edges or 3-paths
-    failure = structure.grouping_failure
-    checks["critical_components_are_edge_or_3path"] = _failed(failure) if failure else _passed()
-
-    structural = (
-        "insulated_endpoint_anchored_in_static_included",
-        "triple_avoids_static_included",
-        "count_within_branching_bound",
-    )
-    iso, edge_ends = _static_profile(forest, cls.static_included)
-    if failure:
-        for name in structural:
-            checks[name] = _skipped("critical structure unavailable")
-    else:
-        bad = None
-        for e in structure.insulated_edges:
-            for v in e:
-                anchors = [w for w in forest.adjacency[v] if w in a_set]
-                if len(anchors) != 1 or anchors[0] not in iso:
-                    bad = f"insulated edge {e}: endpoint {v} anchors {anchors}"
-                    break
-            if bad:
-                break
-        checks["insulated_endpoint_anchored_in_static_included"] = (
-            _failed(bad) if bad else _passed()
-        )
-
-        bad = None
-        for triple in structure.critical_triples:
-            for v in triple:
-                hits = [w for w in forest.adjacency[v] if w in a_set]
-                if hits:
-                    bad = f"triple {triple}: vertex {v} adjacent to {hits}"
-                    break
-            if bad:
-                break
-        checks["triple_avoids_static_included"] = _failed(bad) if bad else _passed()
-
-        x = len(structure.critical_triples)
-        ins = len(structure.insulated_edges)
-        bound = 3**x * 2**ins
-        if structure.count <= bound:
-            checks["count_within_branching_bound"] = _passed()
-        else:
-            checks["count_within_branching_bound"] = _failed(
-                f"count {structure.count} exceeds 3^{x} * 2^{ins} = {bound}"
-            )
-
-    # alpha3 decomposes into the static-included size plus the critical edge count
-    if structure.alpha3 == len(cls.static_included) + len(crit):
-        checks["alpha3_equals_static_plus_critical"] = _passed()
-    else:
-        checks["alpha3_equals_static_plus_critical"] = _failed(
-            f"alpha3={structure.alpha3} static={len(cls.static_included)} eta={len(crit)}"
-        )
-
-    # neighborhood rule for statically excluded vertices
-    bad = None
-    for v in cls.static_excluded:
-        p = sum(1 for w in forest.adjacency[v] if w in iso)
-        q = sum(1 for w in forest.adjacency[v] if w in edge_ends)
-        if not (p + 2 * q >= 4 or p == 3):
-            bad = f"excluded vertex {v} has p={p} q={q}"
-            break
-    if bad is None and len(cls.static_excluded) > 0 and len(cls.static_included) < 3:
-        bad = (
-            f"static-excluded nonempty but only {len(cls.static_included)} "
-            "static-included vertices"
-        )
-    checks["static_excluded_neighbor_rule"] = _failed(bad) if bad else _passed()
-
-    # claims about every maximum set: the largest set breaking one is smaller than alpha3
-    alpha3 = structure.alpha3
-    bad = next((f"a maximum set holds neither end of critical edge {e}"
-                for e, size in zip(crit, structure.neither_end) if size >= alpha3), None)
-    checks["every_mds_hits_each_critical_edge"] = _failed(bad) if bad else _passed()
-
-    if failure:
-        checks["mds_meets_exact_pattern"] = _skipped("critical structure unavailable")
-    else:
-        neither = dict(zip(crit, structure.neither_end))
-        both = dict(zip(crit, structure.both_ends))
-        bad = None
-        for e in structure.insulated_edges:
-            if neither[e] >= alpha3 or both[e] >= alpha3:
-                took = "neither end" if neither[e] >= alpha3 else "both ends"
-                bad = f"insulated edge {e}: a maximum set takes {took}"
-                break
-        for (a, m, b), alone in zip(structure.critical_triples, structure.middle_alone):
-            sizes = (neither[min(a, m), max(a, m)], neither[min(m, b), max(m, b)], alone)
-            if bad is None and max(sizes) >= alpha3:
-                bad = f"triple {(a, m, b)}: a maximum set holds fewer than 2 of its vertices"
-        checks["mds_meets_exact_pattern"] = _failed(bad) if bad else _passed()
-
-    bad = structure.edge_failure
-    if bad is None:
-        try:
-            if set(crit) != set(critical_edges_mu3(forest)):
-                bad = "alpha3 and mu3 sets differ"
-        except TheoremViolation as exc:
-            bad = exc.witness
-    checks["critical_edge_sets_coincide"] = _failed(bad) if bad else _passed()
-
+    static = _static_profile(forest, structure.classes.static_included)
+    ungrouped = structure.grouping_failure is not None
+    checks = {name: _UNAVAILABLE if ungrouped and reads_grouping
+              else _outcome(check(forest, structure, static))
+              for name, check, reads_grouping in _CHECKS}
     for k, (_, cert_check, kke_check) in per_k:
         checks[f"certificate k={k}"], checks[f"kke k={k}"] = cert_check, kke_check
     return checks

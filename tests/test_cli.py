@@ -11,7 +11,7 @@ from dissoc.errors import TheoremViolation
 from dissoc.forest import canonical_code, parse_edge_list
 from dissoc.structure import critical_structure
 
-from util import replaced
+from util import CHECK_NAMES, replaced
 
 LT8_TEXT = "u1 u2\nu2 u3\nu3 u4\nu1 v1\nu2 v2\nu3 v3\nu4 v4\n"
 P5_TEXT = "0 1\n1 2\n2 3\n3 4\n"
@@ -46,6 +46,7 @@ def test_analyze_lt8(capsys, lt8_file):
     assert doc["static_included"] == ["v1", "v2", "v3", "v4"]
     assert doc["insulated_edges"] == [["u1", "u2"], ["u3", "u4"]]
     assert set(doc["theorem_checks"].values()) == {"pass"}
+    assert sorted(doc["theorem_checks"]) == sorted(CHECK_NAMES)
     assert doc["kke"]["3"] == {"alpha_k": 6, "mu_k": 2, "holds": True}
 
 
@@ -217,6 +218,22 @@ def test_guard_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(big), "--k", "4")
     assert code == 2
     assert "limited" in err
+
+
+def test_analyze_refuses_alpha_k_past_its_guard_before_any_work(capsys, monkeypatch, tmp_path):
+    p27 = tmp_path / "p27.txt"
+    p27.write_text("".join(f"{i} {i + 1}\n" for i in range(26)))
+
+    def no_structure(forest):
+        raise AssertionError("the structure was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "critical_structure", no_structure)
+        got = run(capsys, "analyze", str(p27), "--k", "3,4")
+    assert got == (2, "", "error: alpha_k brute force limited to n <= 26, got 27\n")
+    code, out, _ = run(capsys, "analyze", str(p27), "--k", "3")
+    assert code == 0
+    assert json.loads(out)["kke"]["3"] == {"alpha_k": 18, "mu_k": 9, "holds": True}
 
 
 def no_pool(*args, **kwargs):

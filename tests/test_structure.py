@@ -4,8 +4,9 @@ import pytest
 
 from dissoc.dissociation import alpha3_count_dp, enumerate_mds
 from dissoc.extremal import lt8, star_construction
-from dissoc.forest import Forest, canonical_code
+from dissoc.forest import Forest, VertexSet, canonical_code
 from dissoc.structure import (
+    _CHECKS,
     CheckResult,
     _group_critical_edges,
     classify_vertices,
@@ -17,6 +18,7 @@ from dissoc.structure import (
 from dissoc.treegen import free_trees, random_labeled_tree
 
 from util import (
+    CHECK_NAMES,
     brute_force_mds,
     build_canonical_mds,
     classify_vertices_oracle,
@@ -177,6 +179,12 @@ def test_verify_structure_theorems_all_pass():
             assert not bad, (n, t.edges, bad)
 
 
+def test_report_names_every_check_in_a_fixed_order():
+    rep = verify_structure_theorems(path(5), critical_structure(path(5)), (2, 3))
+    per_k = ["certificate k=2", "kke k=2", "certificate k=3", "kke k=3"]
+    assert list(rep) == [*CHECK_NAMES, *per_k]
+
+
 def test_verify_pass_results_carry_no_witness():
     rep = verify_structure_theorems(path(5), critical_structure(path(5)))
     assert all(cr.witness is None for cr in rep.values() if cr.status == "pass")
@@ -319,6 +327,61 @@ def test_an_inconsistent_critical_edge_fails_the_edge_set_check():
     rep = verify_structure_theorems(path(3), s)
     assert rep.pop("critical_edge_sets_coincide") == CheckResult("fail", witness)
     assert {cr.status for cr in rep.values()} == {"pass"}
+
+
+def _mixed(**changes):
+    return MIXED, replaced(critical_structure(MIXED), **changes)
+
+
+def _classes(forest, **changes):
+    s = critical_structure(forest)
+    return forest, replaced(s, classes=replaced(s.classes, **changes))
+
+
+GROUPING = "critical component with 3 edges: [(0, 1), (0, 4), (4, 5)]"
+EDGE = "deleting edge (0, 1) moved alpha3 from 5 to 7"
+
+# per check, in report order: a forest, its structure with a field the check reads changed
+# (MIXED: static included {2, 3}, insulated edge (0, 1), triple (4, 5, 6), 4 maximum sets of
+# size 5), and the witness the check must fail with
+BROKEN = {
+    "flexible_iff_critical_endpoint": (
+        lambda: _classes(MIXED, flexible=VertexSet(0b1110111, 7)),
+        "flexible=[0, 1, 2, 4, 5, 6] endpoints=[0, 1, 4, 5, 6]"),
+    "critical_components_are_edge_or_3path": (
+        lambda: _mixed(insulated_edges=None, critical_triples=None, grouping_failure=GROUPING),
+        GROUPING),
+    "insulated_endpoint_anchored_in_static_included": (
+        lambda: _mixed(insulated_edges=((0, 1), (4, 5))),
+        "insulated edge (4, 5): endpoint 4 anchors []"),
+    "triple_avoids_static_included": (
+        lambda: _classes(MIXED, static_included=VertexSet(0b0001101, 7)),
+        "triple (4, 5, 6): vertex 4 adjacent to [0]"),
+    "count_within_branching_bound": (
+        lambda: _mixed(count=7), "count 7 exceeds 3^1 * 2^1 = 6"),
+    "alpha3_equals_static_plus_critical": (
+        lambda: _mixed(alpha3=6), "alpha3=6 static=2 eta=3"),
+    "static_excluded_neighbor_rule": (  # leaf 3 of the star no longer static included
+        lambda: _classes(star(4), static_included=VertexSet(0b0110, 4)),
+        "excluded vertex 0 has p=2 q=0"),
+    "every_mds_hits_each_critical_edge": (
+        lambda: _mixed(neither_end=(5, 4, 4)),
+        "a maximum set holds neither end of critical edge (0, 1)"),
+    "mds_meets_exact_pattern": (
+        lambda: _mixed(middle_alone=(5,)),
+        "triple (4, 5, 6): a maximum set holds fewer than 2 of its vertices"),
+    "critical_edge_sets_coincide": (lambda: _mixed(edge_failure=EDGE), EDGE),
+}
+
+
+def test_every_check_has_a_failing_case():
+    assert list(BROKEN) == [name for name, _, _ in _CHECKS] == list(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_each_check_fails_with_its_witness(name):
+    build, witness = BROKEN[name]
+    assert verify_structure_theorems(*build())[name] == CheckResult("fail", witness)
 
 
 def _assert_matches_oracles(forest):

@@ -1,13 +1,14 @@
-"""Shared test helpers: a record copy with fields changed, tiny builders, seeded random forests, a
-brute-force isomorphism oracle, every labeled tree of an order, every valid level sequence of
-an order, the allocating successor walk over the canonical ones, a level-sequence decoder
-through the validating constructor, the dissociation-set test, the subset scan for every
-maximum dissociation set, a second counting DP with its own state layout, per-query oracles for
-the vertex classes and the critical edges built on it, the critical-edge grouping from a built
-forest, the structure checks over every listed maximum set and as count identities over
-membership counts, the masked vertex classes by subset scan, the constructive maximum set, the
-per-edge mu3 loop, the two-BFS longest path in a vertex mask, exact k-path packing and cover
-searches on forests, and definition-level k-path searches on arbitrary graphs."""
+"""Shared test helpers: the names of the structure checks in report order, a record copy with
+fields changed, tiny builders, seeded random forests, a brute-force isomorphism oracle, every
+labeled tree of an order, every valid level sequence of an order, the allocating successor walk
+over the canonical ones, a level-sequence decoder through the validating constructor, the
+dissociation-set test, the subset scan for every maximum dissociation set, a second counting DP
+with its own state layout, per-query oracles for the vertex classes and the critical edges
+built on it, the critical-edge grouping from a built forest, the structure checks over every
+listed maximum set and as count identities over membership counts, the masked vertex classes by
+subset scan, the constructive maximum set, the per-edge mu3 loop, the two-BFS longest path in a
+vertex mask, exact k-path packing and cover searches on forests, and definition-level k-path
+searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -32,6 +33,20 @@ BRUTE_FORCE_LIMIT = 26
 PRUEFER_LIMIT = 9
 MU_BRUTE_LIMIT = 18
 TAU_BRUTE_LIMIT = 26
+
+# spelled out, not read from the registry: a renamed or reordered check fails the tests
+CHECK_NAMES = (
+    "flexible_iff_critical_endpoint",
+    "critical_components_are_edge_or_3path",
+    "insulated_endpoint_anchored_in_static_included",
+    "triple_avoids_static_included",
+    "count_within_branching_bound",
+    "alpha3_equals_static_plus_critical",
+    "static_excluded_neighbor_rule",
+    "every_mds_hits_each_critical_edge",
+    "mds_meets_exact_pattern",
+    "critical_edge_sets_coincide",
+)
 
 
 def replaced(record, **changes):
