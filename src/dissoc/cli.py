@@ -16,12 +16,7 @@ from typing import Sequence
 
 from .dissociation import enumerate_mds
 from .errors import EnumerationCapExceeded, GuardExceeded, ParseError, TheoremViolation
-from .extremal import (
-    SWEEP_LIMIT,
-    exhaustive_extremal_check,
-    generate_extremal_family,
-    max_mds_formula,
-)
+from .extremal import exhaustive_extremal_check, generate_extremal_family, max_mds_formula
 from .forest import (
     Forest,
     canonical_code,
@@ -37,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_VIOLATION = 3
+VERIFY_LIMIT = 18  # verify's own order guard; extremal --sweep has SWEEP_LIMIT
 
 _UNUSED_CAP_HELP = "accepted and ignored: the structure checks never list maximum sets"
 
@@ -148,8 +144,8 @@ def _check_tree(tree: Forest, k_list: tuple[int, ...]) -> tuple[int, tuple[str, 
 
 
 def _cmd_verify(args) -> int:
-    if args.n_max > SWEEP_LIMIT:
-        raise GuardExceeded(f"verify limited to --n-max <= {SWEEP_LIMIT}, got {args.n_max}")
+    if args.n_max > VERIFY_LIMIT:
+        raise GuardExceeded(f"verify limited to --n-max <= {VERIFY_LIMIT}, got {args.n_max}")
     check = functools.partial(_check_tree, k_list=tuple(_parse_k_list(args.k_list)))
     rows = []
     total_trees = 0

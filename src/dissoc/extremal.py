@@ -3,29 +3,30 @@
 The closed-form record value depends on n mod 3, and the record holders
 are spider-like trees S*(...) built by gluing one designated leaf of each
 leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
-counts every isomorphism class of the given order and compares the
-observed record and holders against the prediction. Every free tree is
-its centroid plus a multiset of rooted subtrees (Otter, 1948; Jordan's
-centroid theorem), so the sweep first tabulates the closed DP records of
-all rooted trees of order at most n/2, then folds the centroid's children
-from that table depth first: one child step, amortized, and one close
-per tree, with no tree built. Each block of trees, keyed by its largest
-child, reports its record and the index paths reaching it, and only the
-holders of the overall record are decoded and coded, in one pass.
+scans every free tree of the order as its centroid plus a multiset of
+rooted subtrees (Otter, 1948; Jordan's centroid theorem) and compares the
+record and holders with the prediction. It reads only the subtrees' DP
+folds, so its table holds one record class per distinct (order, fold) of
+rooted tree, with ``ways``, its number of trees, and recipes. It folds
+class multisets depth first, counts their trees by multiset binomials,
+and expands, decodes and codes only the holders of the record.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .forest import Forest, _Frozen, canonical_code
 from .treegen import LevelSequence, forest_from_level_sequence, map_free_trees
 
-SWEEP_LIMIT = 18
+SWEEP_LIMIT = 25
 
-LEG_KINDS = ("P2", "P3", "P4", "K13")
+# the edges of each leg: 0 is the hub, i >= 1 the leg's i-th new vertex
+_LEG_EDGES = {"P2": ((0, 1),), "P3": ((0, 1), (1, 2)), "P4": ((0, 1), (1, 2), (2, 3)),
+             "K13": ((0, 1), (1, 2), (1, 3))}
+LEG_KINDS = tuple(_LEG_EDGES)
 
 LegSpec = tuple[str, ...]
 
@@ -57,21 +58,10 @@ def star_construction(legs: Sequence[str]) -> Forest:
     edges: list[tuple[int, int]] = []
     nxt = 1
     for leg in legs:
-        if leg == "P2":
-            edges.append((0, nxt))
-            nxt += 1
-        elif leg == "P3":
-            edges += [(0, nxt), (nxt, nxt + 1)]
-            nxt += 2
-        elif leg in ("P4", "K13"):
-            c = nxt
-            if leg == "P4":
-                edges += [(0, c), (c, c + 1), (c + 1, c + 2)]
-            else:
-                edges += [(0, c), (c, c + 1), (c, c + 2)]
-            nxt += 3
-        else:
+        if leg not in _LEG_EDGES:
             raise ValueError(f"unknown leg kind {leg!r}; expected one of {LEG_KINDS}")
+        edges += [(a and nxt + a - 1, nxt + b - 1) for a, b in _LEG_EDGES[leg]]
+        nxt += len(_LEG_EDGES[leg])
     return Forest.from_edges(nxt, edges)
 
 
@@ -135,16 +125,18 @@ def _close(fold: tuple) -> tuple:
     return b_s, b_w, x_s, x_w, u_s, u_w
 
 
-def _multisets(table, fold, rem: int, lo: int, hi: int) -> Iterator[tuple[list[int], tuple]]:
-    """Every multiset of table entries whose orders sum to ``rem``, as the index list
-    ``path``, non-increasing, its first index in [lo, hi] (entries of order at most
-    ``rem``): yields (path, ``fold`` with
-    the closed record of each entry added as a child), depth first. One fold step per
-    node, so amortized about one per multiset. Iterative: an explicit stack, no recursion.
-    The yielded path is the live list; copy it to keep it."""
-    sizes, records, _, ends = table
+def _multisets(table, base: int, rem: int, lo: int, hi: int) -> Iterator[tuple[list[int], tuple, int]]:
+    """Every multiset of table classes whose orders sum to ``rem``, as the index list
+    ``path``, non-increasing, its first index in [lo, hi] (classes of order at most
+    ``rem``): yields (path, the fold of class ``base`` with the closed record of each
+    class added as a child, the number of trees it stands for), depth first, one fold
+    step per node. ``base`` is the first pick of its own class, so a two-centroid pair
+    of one class of g trees stands for g(g+1)/2 trees (class 0, one bare vertex, stands
+    for one tree however often it repeats). Iterative; the path is a live list."""
+    sizes, records, folds, ends, ways = table
     path: list[int] = []
     stack: list[tuple] = []
+    fold, w, last, r = folds[base], ways[base], base, 1
     cands = iter(range(hi, lo - 1, -1))
     while True:
         b_s, b_w, x_s, x_w, u_s, u_w = fold
@@ -154,54 +146,60 @@ def _multisets(table, fold, rem: int, lo: int, hi: int) -> Iterator[tuple[list[i
             if o_s >= m_s:
                 m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
             child = m_s, m_w, x_s + cb_s, x_w * cb_w, u_s + cx_s, u_w * cx_w
+            k = r + 1 if c == last else 1  # the k-th pick of a class of g trees: C(g+k-1, k)
+            cw = w * ways[c] if k == 1 else w * (ways[c] + r) // k
             left = rem - sizes[c]
             path.append(c)
             if not left:
-                yield path, child
+                yield path, child, cw
                 path.pop()
                 continue
-            stack.append((fold, rem, cands))
-            fold, rem, cands = child, left, iter(range(min(c, ends[left] - 1), -1, -1))
+            stack.append((fold, w, last, r, rem, cands))
+            fold, w, last, r, rem = child, cw, c, k, left
+            cands = iter(range(min(c, ends[left] - 1), -1, -1))
             break
         else:
             if not stack:
                 return
-            fold, rem, cands = stack.pop()
+            fold, w, last, r, rem, cands = stack.pop()
             path.pop()
 
 
 def _rooted_table(n: int):
-    """Every rooted tree of order at most n/2, as a root plus a multiset of smaller
-    entries, by order (A000081 of each). Returns the table for the sweep of order n
-    (sizes, closed records, folds of the children before the close, and ends[k]: the
-    number of entries of order at most k, for k < n) and the level sequence of each
-    entry. An infeasible state has size -n-1, so every sum holding it stays negative."""
-    sizes, folds, seqs, ends = [1], [(-n - 1, 0, 0, 1, 0, 1)], [(1,)], [0, 1]
+    """The record classes of the rooted trees of order at most n/2, one per distinct
+    (order, fold), by order. Returns the table for the sweep of order n (sizes, closed
+    records, folds of the children before the close, ends[k]: the number of classes of
+    order at most k, for k < n, and ways: the rooted trees of each class, A000081 by
+    order) and the recipes of each class: the multisets of smaller classes that build
+    it. An infeasible state has size -n-1, so every sum holding it stays negative."""
+    sizes, folds, ends, ways, recipes = [1], [(-n - 1, 0, 0, 1, 0, 1)], [0, 1], [1], [[()]]
     records = [_close(folds[0])]
-    table = sizes, records, folds, ends
+    table = sizes, records, folds, ends, ways
     for k in range(2, n // 2 + 1):
-        # the multisets read only entries of order below k, so appending is safe
-        for path, fold in _multisets(table, folds[0], k - 1, 0, ends[k - 1] - 1):
-            sizes.append(k)
-            folds.append(fold)
-            records.append(_close(fold))
-            seqs.append(_levels(seqs, 0, path))
+        classes: dict[tuple, list] = {}  # fold: its (trees, recipe) pairs
+        for path, fold, w in _multisets(table, 0, k - 1, 0, ends[k - 1] - 1):
+            classes.setdefault(fold, []).append((w, tuple(path)))
+        sizes += [k] * len(classes)
+        folds += classes
+        records += map(_close, classes)
+        ways += [sum(w for w, _ in built) for built in classes.values()]
+        recipes += [[path for _, path in built] for built in classes.values()]
         ends.append(len(sizes))
     ends += [len(sizes)] * (n - len(ends))
-    return table, seqs
+    return table, recipes
 
 
 def _sweep_blocks(n: int, table) -> list[tuple]:
     """The blocks of the sweep of order n, each (table, base, lo, hi, rem): the trees
-    ``base`` plus a multiset of ``_multisets(table, folds[base], rem, lo, hi)``.
+    of class ``base`` plus a multiset of ``_multisets(table, base, rem, lo, hi)``.
 
     A free tree with one centroid is that vertex plus a multiset of rooted trees of
-    order at most (n-1)/2 summing to n-1, one block per largest child. One with two
-    centroids (n even) is an unordered pair {T1, T2} of rooted trees of order n/2,
-    T2 a child of T1's root, one block per T1. By Jordan's centroid theorem every
-    free tree of order n is in exactly one block, once.
+    order at most (n-1)/2 summing to n-1, one block per class of the largest child.
+    One with two centroids (n even) is an unordered pair {T1, T2} of rooted trees of
+    order n/2, T2 a child of T1's root, one block per class of T1. By Jordan's
+    centroid theorem every free tree of order n is in exactly one block, once.
     """
-    _, _, _, ends = table
+    ends = table[3]
     blocks = [(table, 0, c, c, n - 1) for c in reversed(range(ends[(n - 1) // 2]))]
     if n % 2 == 0:
         half = ends[n // 2 - 1]
@@ -210,12 +208,16 @@ def _sweep_blocks(n: int, table) -> list[tuple]:
 
 
 def _block_record(block) -> tuple[int, int, list[tuple[int, tuple[int, ...]]]]:
-    """(trees, record, holders (base, child indices) at the record) of a block."""
+    """(trees, record, holders (base, child classes) at the record) of a block."""
     table, base, lo, hi, rem = block
     trees, best, holders = 0, -1, []
-    for path, fold in _multisets(table, table[2][base], rem, lo, hi):
-        trees += 1
-        count = _close(fold)[1]
+    for path, (b_s, count, x_s, x_w, u_s, u_w), w in _multisets(table, base, rem, lo, hi):
+        trees += w
+        if u_s >= b_s:  # the close of ``_close``, for the count alone
+            count = u_w if u_s > b_s else count + u_w
+            b_s = u_s
+        if x_s > b_s:
+            count = x_w if x_s > b_s + 1 else count + x_w
         if count > best:
             best, holders = count, [(base, tuple(path))]
         elif count == best:
@@ -223,9 +225,26 @@ def _block_record(block) -> tuple[int, int, list[tuple[int, tuple[int, ...]]]]:
     return trees, best, holders
 
 
-def _levels(seqs, base: int, path: Sequence[int]) -> tuple[int, ...]:
-    """The levels of entry ``base`` with the entries of ``path`` added as children."""
-    return seqs[base] + tuple([level + 1 for c in path for level in seqs[c]])
+def _grown(roots, trees, path: Sequence[int]) -> list[tuple[int, ...]]:
+    """The level sequences of each tree of ``roots`` with each multiset of trees of the
+    classes of ``path`` added as root children."""
+    choices = list(product(*[combinations_with_replacement(trees[c], len(list(g)))
+                             for c, g in groupby(path)]))
+    return [root + tuple([level + 1 for group in choice for seq in group for level in seq])
+            for root in roots for choice in choices]
+
+
+def _expand(recipes, wanted: Iterable[int]) -> dict[int, list[tuple[int, ...]]]:
+    """The level sequences of every rooted tree of the classes ``wanted`` and of the
+    classes they are built from, each tree once."""
+    need = set(wanted)
+    for c in range(max(need), 0, -1):  # a recipe holds classes of lower order, lower index
+        if c in need:
+            need.update(chain.from_iterable(recipes[c]))
+    trees: dict[int, list[tuple[int, ...]]] = {}
+    for c in sorted(need):
+        trees[c] = [seq for recipe in recipes[c] for seq in _grown([(1,)], trees, recipe)]
+    return trees
 
 
 def _family_note(n: int) -> str:
@@ -245,7 +264,7 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
         raise GuardExceeded(f"sweep limited to n <= {guard}, got {n}")
     formula = max_mds_formula(n)
     predicted = tuple(canonical_code(t) for t in generate_extremal_family(n))
-    table, seqs = _rooted_table(n)
+    table, recipes = _rooted_table(n)
     best, holders, scanned = -1, [], 0
     # 16 blocks a task, so a pool pickles the table once per task, not once per block
     for trees, record, found in map_free_trees(_sweep_blocks(n, table), _block_record, jobs, 16):
@@ -254,8 +273,11 @@ def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -
             best, holders = record, found
         elif record == best:
             holders += found
-    trees = (forest_from_level_sequence(LevelSequence(_levels(seqs, *h))) for h in holders)
-    observed = tuple(sorted(canonical_code(t) for t in trees))
+    seqs = _expand(recipes, [c for base, path in holders for c in (base, *path)])
+    # an ordered pair (T1, T2) of one class gives its tree twice, so the codes make a set
+    observed = tuple(sorted({
+        canonical_code(forest_from_level_sequence(LevelSequence(seq)))
+        for base, path in holders for seq in _grown(seqs[base], seqs, path)}))
     characterized = n != 4
     match = best == formula
     if characterized:

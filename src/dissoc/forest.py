@@ -154,7 +154,7 @@ class Forest(_Frozen):
         return cls(
             n=n,
             edges=tuple(sorted(seen)),
-            adjacency=tuple(tuple(sorted(ns)) for ns in neighbors),
+            adjacency=tuple([tuple(sorted(ns)) for ns in neighbors]),
             labels=labels,
         )
 

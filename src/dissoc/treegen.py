@@ -58,7 +58,7 @@ def forest_from_level_sequence(ls: LevelSequence) -> Forest:
         neighbors[p].append(i)  # children come in preorder, after the parent
         neighbors[i].append(p)
     edges = sorted((p, i) for i, p in enumerate(parent) if i)
-    return Forest(len(parent), tuple(edges), tuple(map(tuple, neighbors)))
+    return Forest(len(parent), tuple(edges), tuple([tuple(ns) for ns in neighbors]))
 
 
 def _check_levels(seq, first: int) -> None:

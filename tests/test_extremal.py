@@ -112,26 +112,27 @@ def test_exhaustive_check_guards():
     with pytest.raises(ValueError):
         exhaustive_extremal_check(2)
     with pytest.raises(GuardExceeded):
-        exhaustive_extremal_check(19)
+        exhaustive_extremal_check(26)
 
 
 def test_sweep_agrees_across_job_counts():
-    # 17 blocks at n=11 and 37 at n=12, 20 of them two-centroid pairs, sent 16 to a
-    # task, so the pool splits them between two workers
+    # 16 blocks at n=11 and 33 at n=12, 17 of them two-centroid pairs, sent 16 to a
+    # task, so the pool splits n=12 between two workers
     for n in (11, 12):
         assert exhaustive_extremal_check(n, jobs=1) == exhaustive_extremal_check(n, jobs=2), n
 
 
 def test_sweep_builds_each_tree_once(monkeypatch):
     # the sweep counts every tree once without building it, validates no tree,
-    # and decodes and codes only the trees whose count reaches the formula
+    # and decodes and codes only the trees whose count reaches the formula; each
+    # multiset of record classes is folded once and stands for its number of trees
     build = Forest.from_edges.__func__
     decode = treegen.forest_from_level_sequence
     code = extremal.canonical_code
     multisets, block_record = extremal._multisets, extremal._block_record
     validated = 0
     in_block = False
-    counted: list[tuple[int, tuple[int, ...]]] = []
+    counted: list[tuple[int, tuple[int, ...], int]] = []
     decoded: dict[int, Forest] = {}  # holding each tree keeps its id unique
     coded_decoded = 0
 
@@ -158,31 +159,33 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         finally:
             in_block = False
 
-    def counting_multisets(table, fold, rem, lo, hi):
-        for path, child in multisets(table, fold, rem, lo, hi):
-            if in_block:  # a tree of the sweep, not an entry of the table
-                base = next(i for i, f in enumerate(table[2]) if f is fold)
-                counted.append((base, tuple(path)))
-            yield path, child
+    def counting_multisets(table, base, rem, lo, hi):
+        for path, child, ways in multisets(table, base, rem, lo, hi):
+            if in_block:  # trees of the sweep, not a class of the table
+                counted.append((base, tuple(path), ways))
+            yield path, child, ways
 
-    formula = max_mds_formula(9)
-    holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(9))
+    formula = max_mds_formula(12)
+    holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(12))
     monkeypatch.setattr(Forest, "from_edges", classmethod(counting_build))
-    generate_extremal_family(9)
+    generate_extremal_family(12)
     family_builds, validated = validated, 0
     for module in (treegen, extremal):
         monkeypatch.setattr(module, "forest_from_level_sequence", counting_decode)
     monkeypatch.setattr(extremal, "canonical_code", counting_code)
     monkeypatch.setattr(extremal, "_block_record", counting_block_record)
     monkeypatch.setattr(extremal, "_multisets", counting_multisets)
-    report = exhaustive_extremal_check(9)
-    assert report.trees_scanned == len(counted) == len(set(counted)) == 47
+    report = exhaustive_extremal_check(12)
+    assert report.trees_scanned == sum(ways for _, _, ways in counted) == 551
+    # the 37 rooted trees of order 1..6 fall into 33 classes, so fewer multisets than trees
+    assert len(counted) == len({(base, path) for base, path, _ in counted}) < 551
     assert validated == family_builds
     assert len(decoded) == coded_decoded == holders == len(report.extremal_codes) == 1
     monkeypatch.undo()
-    _, seqs = extremal._rooted_table(9)
-    codes = {canonical_code(_decode(seqs, *tree)) for tree in counted}
-    assert len(codes) == 47
+    table, recipes = extremal._rooted_table(12)
+    trees = extremal._expand(recipes, range(len(table[0])))
+    codes = {_code(seq) for base, path, _ in counted for seq in extremal._grown(trees[base], trees, path)}
+    assert len(codes) == 551
 
 
 A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766)
@@ -206,38 +209,50 @@ def _rooted_trees_oracle(k: int) -> set[tuple[int, ...]]:
 
 
 def test_rooted_table_holds_every_rooted_tree_once_with_its_records():
-    # the table of the sweep of order 24 holds the rooted trees of order 1..12; the
-    # records of each entry are checked against the second DP on an independent decode
-    (sizes, records, folds, ends), seqs = extremal._rooted_table(24)
-    assert [ends[k] - ends[k - 1] for k in range(1, 13)] == list(A000081)
-    assert ends[23] == len(sizes) == len(records) == len(folds) == len(seqs) == sum(A000081)
+    # the table of the sweep of order 24 holds the record classes of the rooted trees of
+    # order 1..12, one per distinct fold; expanded through their recipes, the classes of
+    # each order hold every rooted tree once, and each tree's records, from the second
+    # DP on an independent decode, are its class's
+    (sizes, records, folds, ends, ways), recipes = extremal._rooted_table(24)
+    assert [sum(ways[ends[k - 1]:ends[k]]) for k in range(1, 13)] == list(A000081)
+    assert ends[23] == len(sizes) == len(records) == len(folds) == len(ways) == len(recipes) == 2251
+    assert (ends[7], ends[9]) == (68, 279)  # the tables of the sweeps of order 15 and 18
+    trees = extremal._expand(recipes, range(len(sizes)))
     for k in range(1, 13):
-        forms = [_rooted_form(seqs[i]) for i in range(ends[k - 1], ends[k])]
+        assert len(set(folds[ends[k - 1]:ends[k]])) == ends[k] - ends[k - 1], k  # one per fold
+        forms = [_rooted_form(seq) for c in range(ends[k - 1], ends[k]) for seq in trees[c]]
         assert all(len(f) == k for f in forms)
         assert len(set(forms)) == len(forms) and set(forms) == _rooted_trees_oracle(k), k
-    for seq, record in zip(seqs, records):
-        ls = LevelSequence(seq)
-        r = alpha3_count_dp(treegen.forest_from_level_sequence(ls))
-        assert record[:2] == (r.alpha3, r.count), seq
-        tree = forest_from_level_sequence_oracle(ls)
-        children = sum(1 << v for v in tree.adjacency[0])
-        assert record[:2] == dp_forest(tree), seq
-        assert record[2:4] == dp_forest(tree, exclude_bits=1), seq  # root excluded
-        assert record[4:] == dp_forest(tree, include_bits=1, exclude_bits=children), seq
+    for c, record in enumerate(records):
+        assert len(trees[c]) == ways[c] and record == extremal._close(folds[c]), c
+        for seq in trees[c]:
+            ls = LevelSequence(seq)
+            r = alpha3_count_dp(treegen.forest_from_level_sequence(ls))
+            assert record[:2] == (r.alpha3, r.count), seq
+            tree = forest_from_level_sequence_oracle(ls)
+            children = sum(1 << v for v in tree.adjacency[0])
+            assert record[:2] == dp_forest(tree), seq
+            assert record[2:4] == dp_forest(tree, exclude_bits=1), seq  # root excluded
+            assert record[4:] == dp_forest(tree, include_bits=1, exclude_bits=children), seq
 
 
-def _decode(seqs, base: int, path) -> Forest:
-    return treegen.forest_from_level_sequence(LevelSequence(extremal._levels(seqs, base, path)))
+def _code(seq: tuple[int, ...]):
+    return canonical_code(treegen.forest_from_level_sequence(LevelSequence(seq)))
 
 
 def _sweep_trees(n: int):
-    """(block, level sequence, (alpha3, count)) of every tree the sweep of order n folds."""
-    table, seqs = extremal._rooted_table(n)
+    """(block, level sequence, (alpha3, count)) of every tree the sweep of order n folds,
+    each once: the trees of each multiset of classes, as many as it stands for."""
+    table, recipes = extremal._rooted_table(n)
+    trees = extremal._expand(recipes, range(len(table[0])))
     for block in extremal._sweep_blocks(n, table):
         _, base, lo, hi, rem = block
-        for path, fold in extremal._multisets(table, table[2][base], rem, lo, hi):
-            ls = LevelSequence(extremal._levels(seqs, base, path))
-            yield block, ls, extremal._close(fold)[:2]
+        for path, fold, ways in extremal._multisets(table, base, rem, lo, hi):
+            # an ordered pair (T1, T2) of one class gives its free tree twice
+            seqs = {_code(seq): seq for seq in extremal._grown(trees[base], trees, path)}
+            assert len(seqs) == ways, (base, path)
+            for seq in seqs.values():
+                yield block, LevelSequence(seq), extremal._close(fold)[:2]
 
 
 def test_sweep_visits_every_free_tree_once():
@@ -265,7 +280,8 @@ def test_sweep_counts_match_the_dp_on_every_tree():
 def test_blocks_make_up_the_whole_sweep():
     # each block's trees, record and holders, merged, are those of one pass over all trees
     for n in range(3, 15):
-        table, seqs = extremal._rooted_table(n)
+        table, recipes = extremal._rooted_table(n)
+        trees = extremal._expand(recipes, range(len(table[0])))
         results = [extremal._block_record(block) for block in extremal._sweep_blocks(n, table)]
         counts = [alpha3_count_dp(t).count for t in treegen.free_trees(n)]
         record = max(counts)
@@ -274,16 +290,18 @@ def test_blocks_make_up_the_whole_sweep():
         holders = [h for _, best, found in results if best == record for h in found]
         codes = map(canonical_code, treegen.free_trees(n))
         want = [code for code, count in zip(codes, counts) if count == record]
-        got = [canonical_code(_decode(seqs, *h)) for h in holders]
+        got = {_code(seq) for base, path in holders for seq in extremal._grown(trees[base], trees, path)}
         assert sorted(got) == sorted(want), n
 
 
-@pytest.mark.parametrize("n, trees, record, holders", [(19, 317955, 244, 6), (20, 823065, 243, 18)])
+@pytest.mark.parametrize("n, trees, record, holders", [
+    (19, 317955, 244, 6), (20, 823065, 243, 18), (21, 2144505, 737, 1), (22, 5623756, 730, 7)])
 def test_sweep_past_the_guard(n, trees, record, holders):
     report = exhaustive_extremal_check(n, guard=n)
     assert report.trees_scanned == trees
     assert report.observed_max == record == max_mds_formula(n)
     assert len(report.extremal_codes) == holders
+    assert set(report.extremal_codes) == {canonical_code(t) for t in generate_extremal_family(n)}
     assert report.match is True
 
 
