@@ -34,8 +34,6 @@ EXIT_GUARD = 2
 EXIT_VIOLATION = 3
 VERIFY_LIMIT = 18  # verify's own order guard; extremal --sweep has SWEEP_LIMIT
 
-_UNUSED_CAP_HELP = "accepted and ignored: the structure checks never list maximum sets"
-
 
 class _UsageError(Exception):
     pass
@@ -156,7 +154,7 @@ def _cmd_verify(args) -> int:
         failures = []
         skipped = 0
         best = -1
-        for count, notes, tree_skipped in map_free_trees(free_trees(n), check, args.jobs, 16):
+        for count, notes, tree_skipped in map_free_trees(free_trees(n), check, args.jobs):
             trees += 1
             best = max(best, count)
             failures.extend(notes)
@@ -199,7 +197,7 @@ def _write_csv(fh, rows: list[dict]) -> None:
 def _cmd_extremal(args) -> int:
     if args.sweep:
         started = time.perf_counter()
-        report = exhaustive_extremal_check(args.n, jobs=args.jobs)
+        report = exhaustive_extremal_check(args.n, jobs=args.jobs or 1)
         seconds = time.perf_counter() - started
         print(f"n={report.n} trees={report.trees_scanned} done in {seconds:.2f}s "
               f"trees_per_s={report.trees_scanned / seconds:.0f}", file=sys.stderr)
@@ -254,7 +252,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full invariant report for one forest")
     p.add_argument("file")
     p.add_argument("--k", default="3", help="comma-separated k values (default 3)")
-    p.add_argument("--enumerate-cap", type=_at_least(0), help=_UNUSED_CAP_HELP)
+    p.add_argument("--enumerate-cap", type=_at_least(0),
+                   help="accepted and ignored: the structure checks never list maximum sets")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="stream all maximum dissociation sets")
@@ -267,14 +266,13 @@ def build_parser() -> _Parser:
     p.add_argument("--k-list", default="2,3,4,5")
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--csv", default=None)
-    p.add_argument("--enumerate-cap", type=_at_least(0), help=_UNUSED_CAP_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("extremal", help="record formula, family, and optional sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--jobs", type=_at_least(1), default=1)
-    p.add_argument("--csv", default=None)
+    p.add_argument("--jobs", type=_at_least(1), help="with --sweep only (default 1)")
+    p.add_argument("--csv", default=None, help="with --sweep only")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("gen-trees", help="emit every tree of one order")
@@ -288,16 +286,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "extremal" and not args.sweep and (args.jobs or args.csv is not None):
+            raise _UsageError("extremal: --jobs and --csv need --sweep")
         if getattr(args, "csv", None) is None:
             return args.func(args)
         # args.csv becomes the open file: a bad path fails before any work, and append
         # mode leaves an existing file as it was until _write_csv replaces it
         with open(args.csv, "a", newline="", encoding="utf-8") as args.csv:
             return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, OSError, ValueError) as exc:
+    except (_UsageError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:

@@ -8,14 +8,15 @@ vertex included together with an included child consumes that child's
 partner-free record, and at most one such child is allowed. Include and
 exclude bit masks force vertices in or out. ``_down`` closes the records
 bottom-up over a parent array into the flat lists the masks and the up
-pass need; the extremal sweep carries the one other copy of its child
-and close steps, without masks, to fold tabulated records of rooted
-subtrees with no tree built. ``_rerooted`` adds a size-only up pass
-giving the optimum sizes of every vertex over its component and of both
-sides of every edge in O(n). Whether every optimum, or none, holds a
-vertex is an existence question these sizes decide, so vertex classes
-(``_classes``), critical edges and the enumeration of all maximum sets
-read its tables; only the number of sets needs the counts of ``_down``.
+pass need, and ``_total`` reads the optimum off the component roots; the
+extremal sweep carries the one other copy of its child and close steps,
+without masks, to fold tabulated records of rooted subtrees with no tree
+built. ``_rerooted`` adds a size-only up pass giving the optimum sizes of
+every vertex over its component and of both sides of every edge in O(n).
+Whether every optimum, or none, holds a vertex is an existence question
+these sizes decide, so vertex classes (``_classes``), critical edges and
+the enumeration of all maximum sets read its tables; only the number of
+sets needs the counts of ``_down``.
 The subset-scan oracle the tests compare against is not in the package.
 
 Counts are plain Python integers, so they are exact at any magnitude.
@@ -35,7 +36,8 @@ class DissociationResult(_Frozen):
 
 def alpha3_count_dp(tree: Forest) -> DissociationResult:
     """Dissociation number and exact number of maximum dissociation sets."""
-    return DissociationResult(*_optimum(*tree.bfs))
+    order, parent = tree.bfs
+    return DissociationResult(*_total(parent, _down(order, parent, 0, 0)))
 
 
 def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int | None:
@@ -46,18 +48,14 @@ def alpha3_forced(forest: Forest, include: VertexSet, exclude: VertexSet) -> int
     """
     if include.bits & exclude.bits:
         raise ValueError("include and exclude sets overlap")
-    size, ways = _optimum(*forest.bfs, include.bits, exclude.bits)
+    order, parent = forest.bfs
+    size, ways = _total(parent, _down(order, parent, include.bits, exclude.bits))
     return size if ways else None
 
 
-def _optimum(order, parent, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, int]:
-    """Best size and count of the optimum sets honoring the masks, from the
-    down records of the component roots; (-1, 0) when infeasible."""
-    return _total(parent, _down(order, parent, include_bits, exclude_bits))
-
-
 def _total(parent, down) -> tuple[int, int]:
-    """Best size and count over the forest from the ``_down`` records of its roots."""
+    """Best size and count over the forest from the ``_down`` records of its roots;
+    (-1, 0) when the masks of ``_down`` leave no set."""
     size, ways = 0, 1
     for r, p in enumerate(parent):
         if p == PARENT_NONE:

@@ -9,7 +9,8 @@ record and holders with the prediction. It reads only the subtrees' DP
 folds, so its table holds one record class per distinct (order, fold) of
 rooted tree, with ``ways``, its number of trees, and recipes. It folds
 class multisets depth first, counts their trees by multiset binomials,
-and expands, decodes and codes only the holders of the record.
+and expands, decodes and codes only the holders of the record. Orders
+above ``SWEEP_LIMIT``, read at each call, are refused before any work.
 """
 
 from __future__ import annotations
@@ -255,19 +256,18 @@ def _family_note(n: int) -> str:
     return ""
 
 
-def exhaustive_extremal_check(n: int, jobs: int = 1, guard: int = SWEEP_LIMIT) -> ExtremalReport:
-    """Sweep all trees of order n and compare record and record holders
-    against the closed form and the generated family."""
+def exhaustive_extremal_check(n: int, jobs: int = 1) -> ExtremalReport:
+    """Sweep all trees of order n, up to ``SWEEP_LIMIT``, and compare record
+    and record holders against the closed form and the generated family."""
     if n < 3:
         raise ValueError("sweep is defined for n >= 3")
-    if n > guard:
-        raise GuardExceeded(f"sweep limited to n <= {guard}, got {n}")
+    if n > SWEEP_LIMIT:
+        raise GuardExceeded(f"sweep limited to n <= {SWEEP_LIMIT}, got {n}")
     formula = max_mds_formula(n)
     predicted = tuple(canonical_code(t) for t in generate_extremal_family(n))
     table, recipes = _rooted_table(n)
     best, holders, scanned = -1, [], 0
-    # 16 blocks a task, so a pool pickles the table once per task, not once per block
-    for trees, record, found in map_free_trees(_sweep_blocks(n, table), _block_record, jobs, 16):
+    for trees, record, found in map_free_trees(_sweep_blocks(n, table), _block_record, jobs):
         scanned += trees
         if record > best:
             best, holders = record, found

@@ -64,13 +64,13 @@ def _longest_path(forest: Forest, mask: int) -> int:
     return best
 
 
-def alpha_k_brute(forest: Forest, k: int, guard: int = ALPHA_BRUTE_LIMIT) -> int:
-    """Exact alpha_k by descending-size subset search."""
+def alpha_k_brute(forest: Forest, k: int) -> int:
+    """Exact alpha_k by descending-size subset search, up to ``ALPHA_BRUTE_LIMIT``."""
     if k < 2:
         raise ValueError("k must be at least 2")
     n = forest.n
-    if n > guard:
-        raise GuardExceeded(f"alpha_k brute force limited to n <= {guard}, got {n}")
+    if n > ALPHA_BRUTE_LIMIT:
+        raise GuardExceeded(f"alpha_k brute force limited to n <= {ALPHA_BRUTE_LIMIT}, got {n}")
     masks = forest.adjacency_masks()
     for size in range(n, -1, -1):
         for members in combinations(range(n), size):

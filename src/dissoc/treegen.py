@@ -9,9 +9,10 @@ filter keeps exactly one rooted representative of every free tree (the
 first root subtree must not be taller, larger, or lexicographically later
 than the rest of the tree). ``_walk`` rewrites one list in place and
 re-reads only the suffix each step wrote, in constant amortized time per
-tree. ``forest_from_level_sequence`` decodes a sequence's parent array
-(``LevelSequence.parents``). ``map_free_trees`` drives sweeps over trees
-or blocks of trees, in this process or in a pool.
+tree, and yields the list alone; ``LevelSequence`` checks the level rule
+on each copy. ``forest_from_level_sequence`` decodes a sequence's parent
+array (``LevelSequence.parents``). ``map_free_trees`` drives sweeps over
+trees or blocks of trees, in this process or in a pool.
 
 Labeled trees come from Pruefer sequences: ``random_labeled_tree``
 decodes a uniform random one.
@@ -27,15 +28,23 @@ from .forest import PARENT_NONE, Forest, _Frozen
 
 T = TypeVar("T")
 R = TypeVar("R")
+# items a pool task carries: a sweep block holds the whole table, so the table
+# is pickled once per task, not once per block
+POOL_CHUNKSIZE = 16
 
 
 class LevelSequence(_Frozen):
-    """DFS preorder levels of a rooted tree; the root has level 1."""
+    """DFS preorder levels of a rooted tree: the root at level 1, then each
+    level in 2..previous+1."""
 
     _fields = ("seq",)
 
     def __init__(self, seq: tuple[int, ...]) -> None:
-        _check_levels(seq, 0)
+        if not seq or seq[0] != 1:
+            raise ValueError("level sequence must start at level 1")
+        for i in range(1, len(seq)):
+            if not 2 <= seq[i] <= seq[i - 1] + 1:
+                raise ValueError(f"invalid level {seq[i]} at position {i}")
         self.__dict__["seq"] = seq
 
     def parents(self) -> list[int]:
@@ -61,24 +70,14 @@ def forest_from_level_sequence(ls: LevelSequence) -> Forest:
     return Forest(len(parent), tuple(edges), tuple([tuple(ns) for ns in neighbors]))
 
 
-def _check_levels(seq, first: int) -> None:
-    """``LevelSequence``'s rule from index ``first`` on: root at 1, then 2..previous+1."""
-    if first == 0 and (not seq or seq[0] != 1):
-        raise ValueError("level sequence must start at level 1")
-    for i in range(first or 1, len(seq)):
-        if not 2 <= seq[i] <= seq[i - 1] + 1:
-            raise ValueError(f"invalid level {seq[i]} at position {i}")
-
-
-def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
-    """Steps ``(first, seq)`` of the walk of order n: one list, rewritten in place,
-    holds each canonical level sequence; ``first`` is the lowest index written
-    since the previous step, and only ``seq[first:]`` is checked again."""
+def _walk(n: int) -> Iterator[list[int]]:
+    """The walk of order n: one list, rewritten in place, holds each canonical
+    level sequence in turn."""
     if n < 1:
         raise ValueError("order must be positive")
     seq = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
     # m ends the first root subtree (the second level 2, or n); top[i]: peak of i's part to i
-    top, m, lo, first, grow = [1] * n, 0, 0, 0, False
+    top, m, lo, grow = [1] * n, 0, 0, False
     while True:
         if lo <= m:  # seq[2:lo] is unchanged and holds no level 2
             m = min(max(lo, 2), n)
@@ -89,14 +88,13 @@ def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
         lo, low, high = n, top[m - 1] - 1, top[-1] if m < n else 1  # heights: first subtree, rest
         if grow:  # finish a jump: end the rest with a path as tall as the first subtree
             seq[n - low:] = range(2, low + 2)
-            lo, first, grow = n - low, min(first, n - low), False
+            lo, grow = n - low, False
             continue
         size, rest = m - 1, n - m + 1
         if high > low or high == low and (size < rest or size == rest
                                           and [v - 1 for v in seq[1:m]] <= [1] + seq[m:]):
-            _check_levels(seq, first)
-            yield first, seq
-            first = p = n - 1  # successor: trim the last vertex above level 2
+            yield seq
+            p = n - 1  # successor: trim the last vertex above level 2
             while seq[p] == 2:
                 p -= 1
             if p == 0:
@@ -108,12 +106,12 @@ def _walk(n: int) -> Iterator[tuple[int, list[int]]]:
             q -= 1
         for i in range(p, n):  # re-expand from p by repeating the subtree at q
             seq[i] = seq[i - p + q]
-        lo, first = p, min(first, p)
+        lo = p
 
 
 def level_sequences(n: int) -> Iterator[LevelSequence]:
     """All centroid-canonical level sequences of order n, decreasing."""
-    for _, seq in _walk(n):
+    for seq in _walk(n):
         yield LevelSequence(tuple(seq))
 
 
@@ -123,14 +121,13 @@ def free_trees(n: int) -> Iterator[Forest]:
         yield forest_from_level_sequence(ls)
 
 
-def map_free_trees(
-    items: Iterable[T], fn: Callable[[T], R], jobs: int = 1, chunksize: int = 1
-) -> Iterator[R]:
+def map_free_trees(items: Iterable[T], fn: Callable[[T], R], jobs: int = 1) -> Iterator[R]:
     """``fn`` of every item, in order: the trees of an order or blocks of them.
 
     With ``jobs`` > 1 the items go to a pool of worker processes, at most
-    one per CPU; ``fn`` must then be picklable (a module-level function or
-    a ``functools.partial`` of one). The results keep the order either way.
+    one per CPU, ``POOL_CHUNKSIZE`` items a task; ``fn`` must then be picklable
+    (a module-level function or a ``functools.partial`` of one). The results
+    keep the order either way.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
@@ -139,7 +136,7 @@ def map_free_trees(
     import multiprocessing  # only a pool needs it, and it takes about 11 ms to import
 
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(fn, items, chunksize=chunksize)
+        yield from pool.imap(fn, items, chunksize=POOL_CHUNKSIZE)
 
 
 def free_tree_count(n: int) -> int:

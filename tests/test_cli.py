@@ -247,7 +247,6 @@ def no_pool(*args, **kwargs):
         ["verify", "--n-max", "-5"],
         ["enumerate", "P5", "--limit", "-1"],
         ["analyze", "P5", "--enumerate-cap", "-1"],
-        ["verify", "--n-max", "4", "--enumerate-cap", "-1"],
         ["verify", "--n-max", "4", "--jobs", "0"],
         ["extremal", "--n", "6", "--sweep", "--jobs", "0"],
     ],
@@ -261,9 +260,26 @@ def test_out_of_range_arguments_rejected(capsys, monkeypatch, p5_file, argv):
 
 
 def test_zero_enumerate_cap_is_valid(capsys, p5_file):
+    # analyze still accepts --enumerate-cap, and ignores it
+    _, plain, _ = run(capsys, "analyze", p5_file)
     code, out, _ = run(capsys, "analyze", p5_file, "--enumerate-cap", "0")
     assert code == 0
+    assert out == plain
     assert json.loads(out)["theorem_checks"]["mds_meets_exact_pattern"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n-max", "4", "--enumerate-cap", "1"),
+    ("extremal", "--n", "9", "--csv", "rows.csv"),  # --csv and --jobs need --sweep
+    ("extremal", "--n", "9", "--jobs", "2"),
+], ids=["verify-enumerate-cap", "extremal-csv", "extremal-jobs"])
+def test_options_nothing_reads_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_jobs_capped_at_cpu_count(capsys, monkeypatch):
@@ -287,8 +303,8 @@ def test_verify_order_guard(capsys, monkeypatch):
 
 
 def test_verify_reports_skipped_checks(capsys):
-    # the structure checks count the maximum sets, so a cap of 1 skips nothing
-    code, out, err = run(capsys, "verify", "--n-max", "8", "--enumerate-cap", "1")
+    # the structure checks count the maximum sets and list none, so none is skipped
+    code, out, err = run(capsys, "verify", "--n-max", "8")
     assert code == 0
     assert out.splitlines()[-1] == "total trees=48 failures=0"
     skipped = re.findall(r"^n=\d+ done in [\d.]+s skipped=(\d+)$", err, re.M)

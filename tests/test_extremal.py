@@ -108,11 +108,14 @@ def test_exhaustive_check_n5_degenerate_family():
     assert "degenerates" in rep.note
 
 
-def test_exhaustive_check_guards():
+def test_exhaustive_check_guards(monkeypatch):
     with pytest.raises(ValueError):
         exhaustive_extremal_check(2)
     with pytest.raises(GuardExceeded):
         exhaustive_extremal_check(26)
+    monkeypatch.setattr(extremal, "SWEEP_LIMIT", 5)  # read at each call
+    with pytest.raises(GuardExceeded):
+        exhaustive_extremal_check(6)
 
 
 def test_sweep_agrees_across_job_counts():
@@ -296,8 +299,9 @@ def test_blocks_make_up_the_whole_sweep():
 
 @pytest.mark.parametrize("n, trees, record, holders", [
     (19, 317955, 244, 6), (20, 823065, 243, 18), (21, 2144505, 737, 1), (22, 5623756, 730, 7)])
-def test_sweep_past_the_guard(n, trees, record, holders):
-    report = exhaustive_extremal_check(n, guard=n)
+def test_sweep_past_the_guard(monkeypatch, n, trees, record, holders):
+    monkeypatch.setattr(extremal, "SWEEP_LIMIT", n)
+    report = exhaustive_extremal_check(n)
     assert report.trees_scanned == trees
     assert report.observed_max == record == max_mds_formula(n)
     assert len(report.extremal_codes) == holders

@@ -7,7 +7,6 @@ from dissoc.errors import GuardExceeded
 from dissoc.forest import canonical_code
 from dissoc.treegen import (
     LevelSequence,
-    _check_levels,
     _walk,
     forest_from_level_sequence,
     free_tree_count,
@@ -30,45 +29,17 @@ FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
 
 def test_level_sequence_validation():
     LevelSequence((1, 2, 3, 2))
-    with pytest.raises(ValueError):
-        LevelSequence((2, 3))
-    with pytest.raises(ValueError):
-        LevelSequence((1, 3))
-    with pytest.raises(ValueError):
-        LevelSequence((1, 2, 4))
-    with pytest.raises(ValueError):
-        LevelSequence(())
-
-
-def test_changed_suffix_check():
-    # the walk checks only the levels from the first written index on
-    _check_levels([1, 2, 3, 2], 2)
-    _check_levels([1, 3, 2], 2)  # the bad level 3 sits in the prefix, checked before
-    for seq in ([1, 2, 4], [1, 2, 1], [1, 2, 3, 5]):
+    for seq in ((2, 3), (1, 3), (), (1, 2, 4), (1, 2, 1), (1, 2, 3, 5)):
         with pytest.raises(ValueError):
-            _check_levels(seq, 2)
+            LevelSequence(seq)
 
 
 def test_walk_matches_allocating_oracle():
     # the in-place walk yields the sequences of the walk that copies the list
     # and splits it afresh at every step, in the same order
     for n in range(1, 17):
-        walk = [tuple(seq) for _, seq in _walk(n)]
+        walk = [tuple(seq) for seq in _walk(n)]
         assert walk == [ls.seq for ls in level_sequences_oracle(n)], n
-
-
-def test_walk_reports_its_first_change():
-    # first is 0 at the first step and never above the first index that
-    # differs from the previous sequence, so a fold may keep the prefix
-    for n in range(1, 17):
-        prev = None
-        for first, seq in _walk(n):
-            if prev is None:
-                assert first == 0
-            else:
-                changed = next(i for i, (a, b) in enumerate(zip(prev, seq)) if a != b)
-                assert first <= changed, (n, prev, seq)
-            prev = tuple(seq)
 
 
 def test_decode_level_sequence():
