@@ -16,7 +16,7 @@ from .dissociation import (
     alpha3_forced,
     enumerate_mds,
 )
-from .errors import EnumerationCapExceeded, GuardExceeded, ParseError, TheoremViolation
+from .errors import GuardExceeded, ParseError, TheoremViolation
 from .extremal import (
     ExtremalReport,
     exhaustive_extremal_check,

@@ -11,11 +11,12 @@ import argparse
 import functools
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 from .dissociation import enumerate_mds
-from .errors import EnumerationCapExceeded, GuardExceeded, ParseError, TheoremViolation
+from .errors import GuardExceeded, ParseError, TheoremViolation
 from .extremal import exhaustive_extremal_check, generate_extremal_family, max_mds_formula
 from .forest import (
     Forest,
@@ -24,7 +25,7 @@ from .forest import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .kpath import ALPHA_BRUTE_LIMIT
+from .kpath import alpha_k_guard
 from .structure import critical_structure, kpath_checks, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
@@ -72,9 +73,8 @@ def _labels(forest: Forest, vertices) -> list[str]:
 
 
 def _analysis_document(forest: Forest, k_values: Sequence[int]) -> dict:
-    if forest.n > ALPHA_BRUTE_LIMIT and any(k != 3 for k in k_values):  # before any work
-        raise GuardExceeded(f"alpha_k brute force limited to n <= {ALPHA_BRUTE_LIMIT}, "
-                            f"got {forest.n}")
+    if any(k != 3 for k in k_values):  # before any work
+        alpha_k_guard(forest.n)
     struct = critical_structure(forest)
     cls = struct.classes
     checks = verify_structure_theorems(forest, struct)
@@ -123,11 +123,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_enumerate(args) -> int:
     forest = _load_forest(args.file)
     labels = [forest.label(v) for v in range(forest.n)]
-    try:
-        for vs in enumerate_mds(forest, cap=args.limit):
-            sys.stdout.write(" ".join([labels[v] for v in vs]) + "\n")  # in vertex order
-    except EnumerationCapExceeded as exc:
-        print(f"truncated at {exc.cap} sets", file=sys.stderr)
+    sets = enumerate_mds(forest)
+    for vs in islice(sets, args.limit):  # a limit of None takes every set
+        sys.stdout.write(" ".join([labels[v] for v in vs]) + "\n")  # in vertex order
+    if next(sets, None) is not None:  # an empty set is falsy, so compare with None
+        print(f"truncated at {args.limit} sets", file=sys.stderr)
         return EXIT_GUARD
     return EXIT_OK
 
@@ -290,10 +290,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise _UsageError("extremal: --jobs and --csv need --sweep")
         if getattr(args, "csv", None) is None:
             return args.func(args)
-        # args.csv becomes the open file: a bad path fails before any work, and append
-        # mode leaves an existing file as it was until _write_csv replaces it
-        with open(args.csv, "a", newline="", encoding="utf-8") as args.csv:
-            return args.func(args)
+        # args.csv becomes the open file: a bad path fails before any work, append mode
+        # leaves an existing file as it was until _write_csv replaces it, and a file
+        # opened here that no row reached is removed again
+        path = Path(args.csv)
+        fresh = not path.exists()
+        with open(path, "a", newline="", encoding="utf-8") as args.csv:
+            try:
+                return args.func(args)
+            finally:
+                if fresh and not args.csv.tell():
+                    args.csv.close()
+                    path.unlink()
     except (_UsageError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

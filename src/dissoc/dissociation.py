@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import EnumerationCapExceeded
 from .forest import PARENT_NONE, Forest, VertexSet, _Frozen
 
 
@@ -165,7 +164,7 @@ def _classes(whole, include_bits: int = 0, exclude_bits: int = 0) -> tuple[int, 
             exclude_bits | int.from_bytes(avoided, "little"))
 
 
-def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]:
+def enumerate_mds(forest: Forest) -> Iterator[VertexSet]:
     """Yield every maximum dissociation set once, in lexicographic order.
 
     Flashlight search (Read and Tarjan, 1975) on an explicit stack of masks:
@@ -174,11 +173,10 @@ def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]
     every vertex; otherwise it branches, include first, on its lowest free
     vertex, below which every vertex is forced in both children. So
     2|sets| - 1 passes, O(n) amortized per set; a descent costs one pass
-    per branching vertex, so the delay is not bounded that way. Raises
-    EnumerationCapExceeded after ``cap`` sets.
+    per branching vertex, so the delay is not bounded that way. The stream
+    has no cap: take the first N sets with ``itertools.islice``.
     """
     n = forest.n
-    emitted = 0
     stack = [(0, 0)]  # (include, exclude); include is pushed last, so tried first
     while stack:
         include, exclude = stack.pop()
@@ -188,7 +186,4 @@ def enumerate_mds(forest: Forest, cap: int | None = None) -> Iterator[VertexSet]
             low = free & -free
             stack += ((held, avoided | low), (held | low, avoided))
             continue
-        if cap is not None and emitted >= cap:
-            raise EnumerationCapExceeded(cap)
-        emitted += 1
         yield VertexSet(held, n)

@@ -11,14 +11,6 @@ class GuardExceeded(RuntimeError):
     """An input is larger than the configured limit of an exhaustive routine."""
 
 
-class EnumerationCapExceeded(GuardExceeded):
-    """A maximum-set stream was truncated at the caller's cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"enumeration truncated: more than {cap} maximum dissociation sets")
-        self.cap = cap
-
-
 class TheoremViolation(RuntimeError):
     """A fact that must hold on every tree failed; the message is the witness."""
 

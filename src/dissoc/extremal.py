@@ -111,7 +111,6 @@ def generate_extremal_family(n: int) -> list[Forest]:
 class ExtremalReport(_Frozen):
     _fields = ("n", "formula_value", "predicted_codes", "observed_max", "extremal_codes",
                "match", "characterized", "trees_scanned", "note")
-    _defaults = {"note": ""}
 
 
 def _close(fold: tuple) -> tuple:

@@ -1,10 +1,11 @@
 """Forests and trees over dense 0-based vertex indices.
 
-A ``Forest`` keeps an edge list, per-vertex sorted adjacency, and the
-original string labels when it was parsed from text. All structures are
-immutable after construction and safe to share between threads; the one
-BFS that roots every component at its smallest vertex is computed on
-first use and cached. Centroids and an AHU code rooted at the centroid
+A ``Forest`` keeps its order, per-vertex sorted adjacency, and the
+original string labels when it was parsed from text (else None). All
+structures are immutable after construction and safe to share between
+threads; the edge list, read off the adjacency, and the one BFS that
+roots every component at its smallest vertex are computed on first use
+and cached. Centroids and an AHU code rooted at the centroid
 (Aho, Hopcroft and Ullman, 1974) give isomorphism-level identity for
 trees; the code folds a reversed BFS and holds only the open frontier,
 O(n) bytes, though copying them costs O(n * depth). ``Forest.from_edges``
@@ -39,21 +40,18 @@ class _EdgeError(ValueError):
 
 class _Frozen:
     """Record over the attributes named in ``_fields``, built from positional or
-    keyword values with ``_defaults`` for fields left out: compared, hashed and
-    shown by them alone; ``__init__`` fills ``__dict__``, and assignment is refused."""
+    keyword values, one for every field: compared, hashed and shown by them
+    alone; ``__init__`` fills ``__dict__``, and assignment is refused."""
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init__(self, *args, **kwargs) -> None:
         d, fields = self.__dict__, self._fields
         d.update(zip(fields, args))
         d.update(kwargs)
-        distinct = len(d) == len(args) + len(kwargs)  # no field given twice, none past the last
-        if len(d) < len(fields):
-            for name, value in self._defaults.items():
-                d.setdefault(name, value)
-        if not distinct or len(d) != len(fields) or kwargs and not kwargs.keys() <= set(fields):
+        # each field once: none given twice, none past the last, none left out, none unknown
+        if (not len(args) + len(kwargs) == len(d) == len(fields)
+                or kwargs and not kwargs.keys() <= set(fields)):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}; "
                             f"got {len(args)} positional and keywords {sorted(kwargs)}")
 
@@ -111,8 +109,7 @@ class VertexSet(_Frozen):
 class Forest(_Frozen):
     """Undirected simple acyclic graph on vertices 0..n-1."""
 
-    _fields = ("n", "edges", "adjacency", "labels")  # labels: tuple[str, ...] | None
-    _defaults = {"labels": None}
+    _fields = ("n", "adjacency", "labels")  # labels: tuple[str, ...] | None
 
     @classmethod
     def from_edges(
@@ -134,35 +131,34 @@ class Forest(_Frozen):
                 x = uf[x]
             return x
 
-        seen: set[tuple[int, int]] = set()
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise _EdgeError(f"edge ({u}, {v}) out of range for n={n}", i)
             if u == v:
                 raise _EdgeError(f"self-loop at vertex {name(u)}", i)
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise _EdgeError(f"duplicate edge {name(u)} {name(v)}", i)
             ru, rv = find(u), find(v)
-            if ru == rv:
+            if ru == rv:  # an edge given twice joins two vertices already joined
+                if v in neighbors[u]:
+                    raise _EdgeError(f"duplicate edge {name(u)} {name(v)}", i)
                 raise _EdgeError(f"edge {name(u)} {name(v)} closes a cycle", i)
             uf[ru] = rv
-            seen.add(e)
             neighbors[u].append(v)
             neighbors[v].append(u)
-        return cls(
-            n=n,
-            edges=tuple(sorted(seen)),
-            adjacency=tuple([tuple(sorted(ns)) for ns in neighbors]),
-            labels=labels,
-        )
+        # by keyword: CPython 3.11 then keeps a key-sharing instance dict, and the engines'
+        # inner-loop reads of adjacency are faster on it than after a positional build
+        return cls(n=n, adjacency=tuple([tuple(sorted(ns)) for ns in neighbors]), labels=labels)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (smaller, larger), ascending: the sorted adjacency, read in order."""
+        return tuple([(u, v) for u, ns in enumerate(self.adjacency) for v in ns if u < v])
 
     @cached_property
     def bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -201,7 +197,7 @@ class Forest(_Frozen):
 
     @cached_property
     def is_tree(self) -> bool:
-        return self.n >= 1 and len(self.edges) == self.n - 1 and self.is_connected
+        return self.n >= 1 and self.is_connected  # a forest has no cycle
 
     def without_edge(self, u: int, v: int) -> "Forest":
         e = (u, v) if u < v else (v, u)
@@ -210,11 +206,7 @@ class Forest(_Frozen):
         return Forest.from_edges(self.n, (x for x in self.edges if x != e), self.labels)
 
     def adjacency_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
+        return [sum(1 << w for w in ns) for ns in self.adjacency]
 
 
 def centroids(forest: Forest) -> tuple[int, ...]:

@@ -37,7 +37,11 @@ class PathFamily(_Frozen):
 class CoverMatchingCertificate(_Frozen):
     """Equal-size k-vertex-cover (a ``VertexSet``) / k-matching pair for one forest."""
 
-    _fields = ("cover", "matching", "k")
+    _fields = ("cover", "matching")
+
+    @property
+    def k(self) -> int:
+        return self.matching.k
 
 
 def _longest_path(forest: Forest, mask: int) -> int:
@@ -64,13 +68,18 @@ def _longest_path(forest: Forest, mask: int) -> int:
     return best
 
 
+def alpha_k_guard(n: int) -> None:
+    """Refuse an order past ``ALPHA_BRUTE_LIMIT``, the guard of ``alpha_k_brute``."""
+    if n > ALPHA_BRUTE_LIMIT:
+        raise GuardExceeded(f"alpha_k brute force limited to n <= {ALPHA_BRUTE_LIMIT}, got {n}")
+
+
 def alpha_k_brute(forest: Forest, k: int) -> int:
     """Exact alpha_k by descending-size subset search, up to ``ALPHA_BRUTE_LIMIT``."""
     if k < 2:
         raise ValueError("k must be at least 2")
     n = forest.n
-    if n > ALPHA_BRUTE_LIMIT:
-        raise GuardExceeded(f"alpha_k brute force limited to n <= {ALPHA_BRUTE_LIMIT}, got {n}")
+    alpha_k_guard(n)
     masks = forest.adjacency_masks()
     for size in range(n, -1, -1):
         for members in combinations(range(n), size):
@@ -101,7 +110,7 @@ def _root_alive(forest: Forest, root: int, alive: set[int]):
 
 
 def _subtree_path_orders(order, parent):
-    """Of each rooted subtree: its height and its longest path order."""
+    """Of each rooted subtree: its longest path order."""
     height = {v: 1 for v in order}
     longest = {v: 1 for v in order}
     top = {v: (0, 0) for v in order}  # two tallest child heights
@@ -117,7 +126,7 @@ def _subtree_path_orders(order, parent):
                 top[p] = (height[v], a)
             elif height[v] > b:
                 top[p] = (a, height[v])
-    return height, longest
+    return longest
 
 
 def _min_k_path_through(forest: Forest, u: int, parent, level, k: int) -> tuple[int, ...]:
@@ -170,7 +179,7 @@ def greedy_cover_matching(forest: Forest, k: int) -> CoverMatchingCertificate:
         while len(alive) >= k:
             root = min(alive)
             order, parent, level = _root_alive(forest, root, alive)
-            _, longest = _subtree_path_orders(order, parent)
+            longest = _subtree_path_orders(order, parent)
             candidates = [v for v in order if longest[v] >= k]
             if not candidates:
                 break
@@ -194,7 +203,7 @@ def greedy_cover_matching(forest: Forest, k: int) -> CoverMatchingCertificate:
     paths.sort()
     # positional: the fast way to build a record, and verify builds these per tree and k
     return CoverMatchingCertificate(
-        VertexSet.from_iterable(forest.n, cover), PathFamily(k, tuple(paths)), k
+        VertexSet.from_iterable(forest.n, cover), PathFamily(k, tuple(paths))
     )
 
 

@@ -60,12 +60,17 @@ class CriticalStructure(_Frozen):
     None. ``neither_end[i]`` and ``both_ends[i]`` are the sizes of the largest
     dissociation sets holding neither and both ends of ``critical_edges[i]``,
     ``middle_alone[j]`` of the largest holding only the middle of
-    ``critical_triples[j]`` of its three vertices.
+    ``critical_triples[j]`` of its three vertices. ``eta`` is the number of
+    critical edges.
     """
 
-    _fields = ("critical_edges", "insulated_edges", "critical_triples", "eta", "grouping_failure",
+    _fields = ("critical_edges", "insulated_edges", "critical_triples", "grouping_failure",
                "alpha3", "count", "classes", "edge_failure", "neither_end", "both_ends",
                "middle_alone")
+
+    @property
+    def eta(self) -> int:
+        return len(self.critical_edges)
 
 
 class VertexClassification(_Frozen):
@@ -73,11 +78,10 @@ class VertexClassification(_Frozen):
 
 
 class CheckResult(_Frozen):
-    _fields = ("status", "witness")  # "pass" | "fail" | "skipped", and why
-    _defaults = {"witness": None}
+    _fields = ("status", "witness")  # "pass" | "fail" | "skipped", and why (None on a pass)
 
 
-_PASS = CheckResult("pass")  # records are immutable, so every pass shares one
+_PASS = CheckResult("pass", None)  # records are immutable, so every pass shares one
 
 
 def _outcome(witness: str | None) -> CheckResult:
@@ -129,7 +133,6 @@ def critical_structure(forest: Forest) -> CriticalStructure:
         critical_edges=tuple(crit),
         insulated_edges=insulated,
         critical_triples=triples,
-        eta=len(crit),
         grouping_failure=failure,
         alpha3=alpha3,
         count=count,

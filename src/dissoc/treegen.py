@@ -66,8 +66,7 @@ def forest_from_level_sequence(ls: LevelSequence) -> Forest:
     for i, p in enumerate(parent[1:], 1):
         neighbors[p].append(i)  # children come in preorder, after the parent
         neighbors[i].append(p)
-    edges = sorted((p, i) for i, p in enumerate(parent) if i)
-    return Forest(len(parent), tuple(edges), tuple([tuple(ns) for ns in neighbors]))
+    return Forest(len(parent), tuple([tuple(ns) for ns in neighbors]), None)
 
 
 def _walk(n: int) -> Iterator[list[int]]:

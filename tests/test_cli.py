@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -150,6 +151,18 @@ def test_verify_stdout_matches_golden(capsys, argv):
     assert run(capsys, *argv.split())[:2] == (want["exit_code"], want["stdout"])
 
 
+GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden_stdout_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256))
+def test_edge_list_stdout_matches_its_digest(capsys, argv):
+    # golden_stdout_sha256.json holds the sha256 of the stdout of each `gen-trees --n N` and
+    # `extremal --n N`: both print serialize_edge_list(normalize_indices(tree)), which reads
+    # Forest.edges, so the edge order of every tree they print is pinned
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GOLDEN_SHA256[argv])
+
+
 def test_extremal_family_only(capsys):
     code, out, _ = run(capsys, "extremal", "--n", "6")
     assert code == 0
@@ -181,6 +194,23 @@ def test_unwritable_csv_path_fails_before_any_work(capsys, tmp_path, argv, where
     code, out, err = run(capsys, *argv, "--csv", str(tmp_path / where))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--n-max", "19"), 2),
+    (("extremal", "--n", "26", "--sweep"), 2),
+    (("verify", "--n-max", "3", "--k-list", "1"), 1),
+], ids=["verify-guard", "sweep-guard", "bad-k-list"])
+def test_a_run_that_writes_no_rows_creates_no_csv_file(capsys, tmp_path, argv, code):
+    csv_path = tmp_path / "rows.csv"
+    assert run(capsys, *argv, "--csv", str(csv_path))[:2] == (code, "")
+    assert not csv_path.exists()
+    csv_path.write_bytes(b"")  # an existing file, empty or not, stays as it was
+    assert run(capsys, *argv, "--csv", str(csv_path))[0] == code
+    assert csv_path.read_bytes() == b""
+    csv_path.write_bytes(b"old\r\n" * 3)
+    assert run(capsys, *argv, "--csv", str(csv_path))[0] == code
+    assert csv_path.read_bytes() == b"old\r\n" * 3
 
 
 def test_csv_keeps_an_existing_file_until_the_rows_are_written(capsys, tmp_path):

@@ -13,7 +13,7 @@ from dissoc.dissociation import (
     alpha3_forced,
     enumerate_mds,
 )
-from dissoc.errors import EnumerationCapExceeded, GuardExceeded
+from dissoc.errors import GuardExceeded
 from dissoc.extremal import lt8, star_construction
 from dissoc.forest import PARENT_NONE, Forest, VertexSet
 from dissoc.treegen import (
@@ -276,15 +276,6 @@ def test_masked_classes_match_a_subset_scan():
         feasible += 1
         assert _classes(_rerooted(forest, inc, exc)[3], inc, exc) == want, (forest.edges, inc, exc)
     assert feasible > 80
-
-
-def test_enumerate_cap_truncates():
-    stream = enumerate_mds(path(3), cap=2)
-    assert next(stream).members() == (0, 1)
-    assert next(stream).members() == (0, 2)
-    with pytest.raises(EnumerationCapExceeded) as exc:
-        next(stream)
-    assert exc.value.cap == 2
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import pytest
 
 from dissoc import extremal, treegen
+from dissoc.cli import VERIFY_LIMIT
 from dissoc.dissociation import alpha3_count_dp
 from dissoc.errors import GuardExceeded
 from dissoc.extremal import (
@@ -114,6 +115,7 @@ def test_exhaustive_check_guards(monkeypatch):
     with pytest.raises(GuardExceeded):
         exhaustive_extremal_check(26)
     monkeypatch.setattr(extremal, "SWEEP_LIMIT", 5)  # read at each call
+    assert exhaustive_extremal_check(5).trees_scanned == 3  # the limit itself runs
     with pytest.raises(GuardExceeded):
         exhaustive_extremal_check(6)
 
@@ -299,8 +301,8 @@ def test_blocks_make_up_the_whole_sweep():
 
 @pytest.mark.parametrize("n, trees, record, holders", [
     (19, 317955, 244, 6), (20, 823065, 243, 18), (21, 2144505, 737, 1), (22, 5623756, 730, 7)])
-def test_sweep_past_the_guard(monkeypatch, n, trees, record, holders):
-    monkeypatch.setattr(extremal, "SWEEP_LIMIT", n)
+def test_sweep_at_orders_past_verify_guard(n, trees, record, holders):
+    assert VERIFY_LIMIT < n <= extremal.SWEEP_LIMIT  # verify refuses these orders
     report = exhaustive_extremal_check(n)
     assert report.trees_scanned == trees
     assert report.observed_max == record == max_mds_formula(n)

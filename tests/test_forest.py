@@ -14,7 +14,7 @@ from dissoc.forest import (
     parse_edge_list,
     serialize_edge_list,
 )
-from dissoc.treegen import free_trees, random_labeled_tree
+from dissoc.treegen import free_trees, level_sequences, random_labeled_tree
 
 from util import (
     ahu_code_oracle,
@@ -22,6 +22,7 @@ from util import (
     deadline,
     labeled_trees_pruefer,
     path,
+    random_forest_with_isolated_vertices,
     relabel,
     star,
 )
@@ -51,6 +52,29 @@ def test_forest_validation():
         Forest.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError, match="out of range"):
         Forest.from_edges(2, [(0, 2)])
+
+
+def _sorted_edge_set(forest: Forest) -> tuple[tuple[int, int], ...]:
+    pairs = {(min(u, w), max(u, w)) for u in range(forest.n) for w in forest.adjacency[u]}
+    return tuple(sorted(pairs))
+
+
+def test_edges_are_the_sorted_edge_set():
+    # edges is read off the adjacency, in order: each edge once as (smaller, larger), ascending,
+    # whatever the order and the direction the edges came in
+    rng = random.Random(5)
+    for _ in range(300):
+        forest = random_forest_with_isolated_vertices(rng, 12)
+        assert forest.edges == _sorted_edge_set(forest)
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in forest.edges]
+        rng.shuffle(given)
+        assert Forest.from_edges(forest.n, given).edges == forest.edges
+    for n in range(1, 10):
+        for ls, tree in zip(level_sequences(n), free_trees(n)):
+            # a vertex's parent in the level sequence precedes it
+            parents = ls.parents()
+            assert tree.edges == tuple(sorted((parents[i], i) for i in range(1, n))), ls
+            assert tree.edges == _sorted_edge_set(tree)
 
 
 def test_parse_smallest_tree():

@@ -128,25 +128,20 @@ def test_certificate_checker_catches_tampering():
     cert = greedy_cover_matching(t, 3)
     assert verify_certificate(t, cert) == []
     # cover too small for the matching
-    bad = CoverMatchingCertificate(
-        cover=VertexSet(0, 6), matching=cert.matching, k=3
-    )
+    bad = CoverMatchingCertificate(cover=VertexSet(0, 6), matching=cert.matching)
     assert any("cover size" in p for p in verify_certificate(t, bad))
     # a fake path that is not a path of the tree
-    bad = CoverMatchingCertificate(
-        cover=cert.cover, matching=PathFamily(3, ((0, 2, 4),)), k=3
-    )
+    bad = CoverMatchingCertificate(cover=cert.cover, matching=PathFamily(3, ((0, 2, 4),)))
     assert any("missing edge" in p for p in verify_certificate(t, bad))
     # overlapping paths
     bad = CoverMatchingCertificate(
         cover=VertexSet.from_iterable(6, [1, 3]),
         matching=PathFamily(3, ((0, 1, 2), (2, 3, 4))),
-        k=3,
     )
     assert any("share vertices" in p for p in verify_certificate(t, bad))
     # cover missing a surviving path
     bad = CoverMatchingCertificate(
-        cover=VertexSet.from_iterable(6, [5]), matching=PathFamily(3, ((0, 1, 2),)), k=3
+        cover=VertexSet.from_iterable(6, [5]), matching=PathFamily(3, ((0, 1, 2),))
     )
     assert any("survives" in p for p in verify_certificate(t, bad))
 

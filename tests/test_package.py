@@ -34,7 +34,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 P3 = parse_edge_list("a b\nb c")
 P3_STRUCTURE = (
     "CriticalStructure(critical_edges=((0, 1), (1, 2)), insulated_edges=(), "
-    "critical_triples=((0, 1, 2),), eta=2, grouping_failure=None, alpha3=2, count=3, "
+    "critical_triples=((0, 1, 2),), grouping_failure=None, alpha3=2, count=3, "
     "classes=VertexClassification(flexible=VertexSet(bits=7, n=3), "
     "static_included=VertexSet(bits=0, n=3), static_excluded=VertexSet(bits=0, n=3)), "
     "edge_failure=None, neither_end=(1, 1), both_ends=(2, 2), middle_alone=(1,))"
@@ -47,10 +47,9 @@ def _records():
     report = exhaustive_extremal_check(4)
     code = CanonicalCode(b"((())())")
     return [
-        (P3, "Forest(n=3, edges=((0, 1), (1, 2)), adjacency=((1,), (0, 2), (1,)), "
-             "labels=('a', 'b', 'c'))",
-         Forest(3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,)), ("a", "b", "c")),
-         Forest(3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,)))),
+        (P3, "Forest(n=3, adjacency=((1,), (0, 2), (1,)), labels=('a', 'b', 'c'))",
+         Forest(3, ((1,), (0, 2), (1,)), ("a", "b", "c")),
+         Forest(3, ((1,), (0, 2), (1,)), None)),
         (VertexSet(7, 3), "VertexSet(bits=7, n=3)", VertexSet.from_iterable(3, [2, 1, 0]),
          VertexSet(7, 4)),
         (LevelSequence((1, 2, 2)), "LevelSequence(seq=(1, 2, 2))", LevelSequence((1, 2, 2)),
@@ -58,17 +57,17 @@ def _records():
         (canonical_code(P3), "CanonicalCode(code=b'(()())')", CanonicalCode(b"(()())"), code),
         (alpha3_count_dp(P3), "DissociationResult(alpha3=2, count=3)", DissociationResult(2, 3),
          DissociationResult(2, 4)),
-        (s, P3_STRUCTURE, critical_structure(parse_edge_list("x y\ny z")), replaced(s, eta=1)),
+        (s, P3_STRUCTURE, critical_structure(parse_edge_list("x y\ny z")), replaced(s, count=4)),
         (s.classes, "VertexClassification(flexible=VertexSet(bits=7, n=3), "
          "static_included=VertexSet(bits=0, n=3), static_excluded=VertexSet(bits=0, n=3))",
          VertexClassification(VertexSet(7, 3), VertexSet(0, 3), VertexSet(0, 3)),
          VertexClassification(VertexSet(7, 3), VertexSet(0, 3), VertexSet(1, 3))),
-        (CheckResult("pass"), "CheckResult(status='pass', witness=None)",
+        (CheckResult("pass", None), "CheckResult(status='pass', witness=None)",
          CheckResult(status="pass", witness=None), CheckResult("fail", "w")),
         (greedy_cover_matching(P3, 2), "CoverMatchingCertificate(cover=VertexSet(bits=2, n=3), "
-         "matching=PathFamily(k=2, paths=((1, 2),)), k=2)",
-         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((1, 2),)), 2),
-         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((0, 1),)), 2)),
+         "matching=PathFamily(k=2, paths=((1, 2),)))",
+         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((1, 2),))),
+         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((0, 1),)))),
         (report, f"ExtremalReport(n=4, formula_value=2, predicted_codes=({code!r},), "
          f"observed_max=2, extremal_codes=({code!r},), match=True, characterized=False, "
          f"trees_scanned=2, note='record holders at n=4 are not characterized; only the "
@@ -78,6 +77,7 @@ def _records():
 
 
 RECORDS = _records()
+REPORT = RECORDS[-1][0]  # exhaustive_extremal_check(4)
 
 
 @pytest.mark.parametrize("record, text, same, other", RECORDS,
@@ -107,7 +107,9 @@ def test_forest_equality_ignores_the_cached_bfs():
 
 @pytest.mark.parametrize("record, field", [
     (P3, "n"), (P3, "labels"), (P3, "bfs"), (VertexSet(5, 3), "bits"),
-    (LevelSequence((1, 2)), "seq"), (alpha3_count_dp(P3), "count"), (CheckResult("pass"), "status"),
+    (LevelSequence((1, 2)), "seq"), (alpha3_count_dp(P3), "count"),
+    (CheckResult("pass", None), "status"),
+    (P3, "edges"), (critical_structure(P3), "eta"),  # the cached and the computed reads too
 ])
 def test_fields_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
@@ -127,31 +129,35 @@ def test_canonical_codes_sort_by_their_bytes():
         low < (b"(())",)  # noqa: B015 - records are no longer tuples
 
 
-def test_fields_left_out_take_their_defaults():
-    assert CheckResult("pass") == CheckResult(status="pass") == CheckResult("pass", None)
-    assert CheckResult("pass").witness is None
-    report = exhaustive_extremal_check(4)
-    fields = {f: getattr(report, f) for f in report._fields if f != "note"}
-    assert ExtremalReport(**fields).note == ""
-    assert ExtremalReport(**fields) == replaced(report, note="")
-    assert Forest(1, (), ((),)).labels is None
+def test_derived_reads_follow_their_source():
+    s, cert = critical_structure(P3), greedy_cover_matching(P3, 2)
+    assert s.eta == len(s.critical_edges) == 2 and replaced(s, critical_edges=()).eta == 0
+    assert cert.k == cert.matching.k == 2
+    assert replaced(cert, matching=PathFamily(3, ())).k == 3
+    assert P3.edges == ((0, 1), (1, 2)) and "edges" not in P3._fields
 
 
 @pytest.mark.parametrize("build", [
-    lambda: CheckResult(),  # status has no default
+    lambda: CheckResult(),
     lambda: CheckResult(witness="w"),
     lambda: DissociationResult(2),
     lambda: DissociationResult(2, 3, 4),
     lambda: DissociationResult(2, alpha3=2),
     lambda: DissociationResult(2, counts=3),
-], ids=["no field", "no status", "missing", "too many", "twice", "unknown"])
+    # no record has defaults: every caller passes every field
+    lambda: CheckResult("pass"),
+    lambda: ExtremalReport(**{f: getattr(REPORT, f) for f in REPORT._fields if f != "note"}),
+    lambda: Forest(1, ((),)),
+    lambda: Forest(n=1, adjacency=((),)),
+], ids=["no field", "no status", "missing", "too many", "twice", "unknown",
+        "no witness", "no note", "no labels", "no labels by keyword"])
 def test_a_record_built_with_a_field_missing_or_unknown_is_refused(build):
     with pytest.raises(TypeError):
         build()
 
 
 def test_reading_a_field_a_record_does_not_have_is_an_error():
-    record = CheckResult("pass")
+    record = CheckResult("pass", None)
     with pytest.raises(AttributeError):
         record.witnesses  # noqa: B018
     with pytest.raises(TypeError):

@@ -309,7 +309,7 @@ def test_size_checks_fail_when_a_maximum_set_takes_both_ends_of_an_insulated_edg
         assert rep["every_mds_hits_each_critical_edge"].status == "pass"
         # both ends of one edge of a triple are two of its vertices, as the claim wants
         want = (CheckResult("fail", f"insulated edge {e}: a maximum set takes both ends")
-                if e in s.insulated_edges else CheckResult("pass"))
+                if e in s.insulated_edges else CheckResult("pass", None))
         assert rep["mds_meets_exact_pattern"] == want, e
 
 

@@ -431,7 +431,7 @@ def enumerated_structure_checks(
     checked set by set over every listed maximum set."""
 
     def outcome(bad: str | None) -> CheckResult:
-        return CheckResult("fail", bad) if bad else CheckResult("pass")
+        return CheckResult("fail", bad) if bad else CheckResult("pass", None)
 
     sets = list(enumerate_mds(forest))
     missing = (
@@ -478,7 +478,7 @@ def count_identity_checks(forest: Forest, structure: CriticalStructure) -> dict[
     as no dissociation set holds all three vertices of a path."""
 
     def outcome(bad: str | None) -> CheckResult:
-        return CheckResult("fail", bad) if bad else CheckResult("pass")
+        return CheckResult("fail", bad) if bad else CheckResult("pass", None)
 
     count = dp_forest(forest)[1]
     holding, missed_list = containing_and_missed(forest, structure)
