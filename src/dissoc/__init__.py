@@ -43,10 +43,8 @@ from .structure import (
     verify_structure_theorems,
 )
 from .treegen import (
-    LevelSequence,
     forest_from_level_sequence,
     free_trees,
-    level_sequences,
     pruefer_decode,
     random_labeled_tree,
 )

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 from .forest import Forest, _Frozen, canonical_code
-from .treegen import LevelSequence, forest_from_level_sequence, map_free_trees
+from .treegen import forest_from_level_sequence, map_free_trees
 
 SWEEP_LIMIT = 25
 
@@ -275,7 +275,7 @@ def exhaustive_extremal_check(n: int, jobs: int = 1) -> ExtremalReport:
     seqs = _expand(recipes, [c for base, path in holders for c in (base, *path)])
     # an ordered pair (T1, T2) of one class gives its tree twice, so the codes make a set
     observed = tuple(sorted({
-        canonical_code(forest_from_level_sequence(LevelSequence(seq)))
+        canonical_code(forest_from_level_sequence(seq))
         for base, path in holders for seq in _grown(seqs[base], seqs, path)}))
     characterized = n != 4
     match = best == formula

@@ -47,7 +47,8 @@ class _Frozen:
 
     def __init__(self, *args, **kwargs) -> None:
         d, fields = self.__dict__, self._fields
-        d.update(zip(fields, args))
+        # a dict, not pairs: CPython 3.11 then gives a positional build a keyword build's dict
+        d.update(dict(zip(fields, args)))
         d.update(kwargs)
         # each field once: none given twice, none past the last, none left out, none unknown
         if (not len(args) + len(kwargs) == len(d) == len(fields)
@@ -145,9 +146,7 @@ class Forest(_Frozen):
             uf[ru] = rv
             neighbors[u].append(v)
             neighbors[v].append(u)
-        # by keyword: CPython 3.11 then keeps a key-sharing instance dict, and the engines'
-        # inner-loop reads of adjacency are faster on it than after a positional build
-        return cls(n=n, adjacency=tuple([tuple(sorted(ns)) for ns in neighbors]), labels=labels)
+        return cls(n, tuple([tuple(sorted(ns)) for ns in neighbors]), labels)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)

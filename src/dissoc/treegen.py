@@ -9,9 +9,11 @@ filter keeps exactly one rooted representative of every free tree (the
 first root subtree must not be taller, larger, or lexicographically later
 than the rest of the tree). ``_walk`` rewrites one list in place and
 re-reads only the suffix each step wrote, in constant amortized time per
-tree, and yields the list alone; ``LevelSequence`` checks the level rule
-on each copy. ``forest_from_level_sequence`` decodes a sequence's parent
-array (``LevelSequence.parents``). ``map_free_trees`` drives sweeps over
+tree, and yields the list alone. ``forest_from_level_sequence`` is the one
+way a level sequence becomes a tree: a single pass checks the level rule
+and builds the adjacency, with no copy of the sequence. ``free_tree_count``
+needs no walk: Otter's formula (Otter, 1948) gives the number of free trees
+from the numbers of rooted trees. ``map_free_trees`` drives sweeps over
 trees or blocks of trees, in this process or in a pool.
 
 Labeled trees come from Pruefer sequences: ``random_labeled_tree``
@@ -22,9 +24,9 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .forest import PARENT_NONE, Forest, _Frozen
+from .forest import Forest
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -33,40 +35,25 @@ R = TypeVar("R")
 POOL_CHUNKSIZE = 16
 
 
-class LevelSequence(_Frozen):
-    """DFS preorder levels of a rooted tree: the root at level 1, then each
-    level in 2..previous+1."""
-
-    _fields = ("seq",)
-
-    def __init__(self, seq: tuple[int, ...]) -> None:
-        if not seq or seq[0] != 1:
-            raise ValueError("level sequence must start at level 1")
-        for i in range(1, len(seq)):
-            if not 2 <= seq[i] <= seq[i - 1] + 1:
-                raise ValueError(f"invalid level {seq[i]} at position {i}")
-        self.__dict__["seq"] = seq
-
-    def parents(self) -> list[int]:
-        """Parent of vertex i, the i-th preorder visit: the last vertex seen one
-        level up, ``PARENT_NONE`` at the root; every parent precedes its children."""
-        last = [PARENT_NONE] * (len(self.seq) + 1)  # last vertex seen at each level
-        parent = []
-        for i, level in enumerate(self.seq):
-            parent.append(last[level - 1])
-            last[level] = i
-        return parent
-
-
-def forest_from_level_sequence(ls: LevelSequence) -> Forest:
-    """The tree of ``ls.parents()``. A valid level sequence is a tree, so
-    ``Forest.from_edges`` is not needed; adjacency comes sorted."""
-    parent = ls.parents()
-    neighbors: list[list[int]] = [[] for _ in parent]
-    for i, p in enumerate(parent[1:], 1):
+def forest_from_level_sequence(seq: Sequence[int]) -> Forest:
+    """The rooted tree of DFS preorder levels ``seq``: the root at level 1, then
+    each level in 2..previous+1, else ``ValueError``. Vertex i is the i-th
+    visit, and its parent the last vertex seen one level up, so every parent
+    precedes its children, the tree needs no ``Forest.from_edges`` check, and
+    adjacency comes sorted."""
+    if not seq or seq[0] != 1:
+        raise ValueError("level sequence must start at level 1")
+    neighbors: list[list[int]] = [[]]
+    last = [0] * (len(seq) + 1)  # last vertex seen at each level: the root at 1
+    for i in range(1, len(seq)):
+        level = seq[i]
+        if not 2 <= level <= seq[i - 1] + 1:
+            raise ValueError(f"invalid level {level} at position {i}")
+        p = last[level - 1]
         neighbors[p].append(i)  # children come in preorder, after the parent
-        neighbors[i].append(p)
-    return Forest(len(parent), tuple([tuple(ns) for ns in neighbors]), None)
+        neighbors.append([p])
+        last[level] = i
+    return Forest(len(neighbors), tuple([tuple(ns) for ns in neighbors]), None)
 
 
 def _walk(n: int) -> Iterator[list[int]]:
@@ -108,16 +95,10 @@ def _walk(n: int) -> Iterator[list[int]]:
         lo = p
 
 
-def level_sequences(n: int) -> Iterator[LevelSequence]:
-    """All centroid-canonical level sequences of order n, decreasing."""
-    for seq in _walk(n):
-        yield LevelSequence(tuple(seq))
-
-
 def free_trees(n: int) -> Iterator[Forest]:
     """One representative tree per isomorphism class of order n."""
-    for ls in level_sequences(n):
-        yield forest_from_level_sequence(ls)
+    for seq in _walk(n):
+        yield forest_from_level_sequence(seq)
 
 
 def map_free_trees(items: Iterable[T], fn: Callable[[T], R], jobs: int = 1) -> Iterator[R]:
@@ -139,7 +120,20 @@ def map_free_trees(items: Iterable[T], fn: Callable[[T], R], jobs: int = 1) -> I
 
 
 def free_tree_count(n: int) -> int:
-    return sum(1 for _ in _walk(n))
+    """A000055(n) by Otter's formula over the rooted counts r = A000081:
+    r(n) - sum of r(i)*r(n-i) over 1 <= i < n/2, less C(r(n/2), 2) for even n.
+    r comes from its Euler-transform recurrence, r(m+1) = (1/m) * sum over
+    k = 1..m of s(k)*r(m-k+1), with s(k) the sum of d*r(d) over the divisors d
+    of k; no tree is built."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    r, s = [0, 1], [0] * n
+    for m in range(1, n):
+        for k in range(m, n, m):  # r(m) joins s at each multiple of m
+            s[k] += m * r[m]
+        r.append(sum(s[k] * r[m - k + 1] for k in range(1, m + 1)) // m)
+    half = r[n // 2] if n % 2 == 0 else 0
+    return r[n] - sum(r[i] * r[n - i] for i in range(1, (n + 1) // 2)) - half * (half - 1) // 2
 
 
 def pruefer_decode(seq: tuple[int, ...], n: int) -> Forest:

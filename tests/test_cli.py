@@ -12,7 +12,7 @@ from dissoc.errors import TheoremViolation
 from dissoc.forest import canonical_code, parse_edge_list
 from dissoc.structure import critical_structure
 
-from util import CHECK_NAMES, replaced
+from util import CHECK_NAMES, deadline, replaced
 
 LT8_TEXT = "u1 u2\nu2 u3\nu3 u4\nu1 v1\nu2 v2\nu3 v3\nu4 v4\n"
 P5_TEXT = "0 1\n1 2\n2 3\n3 4\n"
@@ -102,11 +102,16 @@ def test_gen_trees_count_only(capsys, monkeypatch):
     assert code == 0
     assert out == "2\n"
 
-    def no_decode(ls):
-        raise AssertionError("a tree was decoded only to be counted")
+    def no_walk(n):
+        raise AssertionError("trees were walked only to be counted")
 
-    monkeypatch.setattr(treegen, "forest_from_level_sequence", no_decode)
+    monkeypatch.setattr(treegen, "_walk", no_walk)
     assert run(capsys, "gen-trees", "--n", "12", "--count-only")[:2] == (0, "551\n")
+    with deadline(1):  # a walk would take years: about 3.4e23 trees
+        assert run(capsys, "gen-trees", "--n", "60", "--count-only")[:2] == (
+            0, "339028211512423891688777\n")
+    code, out, err = run(capsys, "gen-trees", "--n", "0", "--count-only")
+    assert (code, out, err) == (1, "", "error: order must be positive\n")
 
 
 def test_gen_trees_blocks_parse_back(capsys):

@@ -15,14 +15,8 @@ from dissoc.dissociation import (
 )
 from dissoc.errors import GuardExceeded
 from dissoc.extremal import lt8, star_construction
-from dissoc.forest import PARENT_NONE, Forest, VertexSet
-from dissoc.treegen import (
-    forest_from_level_sequence,
-    free_trees,
-    level_sequences,
-    pruefer_decode,
-    random_labeled_tree,
-)
+from dissoc.forest import Forest, VertexSet
+from dissoc.treegen import forest_from_level_sequence, free_trees, pruefer_decode, random_labeled_tree
 
 from util import (
     brute_force_masked_classes,
@@ -31,6 +25,7 @@ from util import (
     every_level_sequence,
     forest_from_level_sequence_oracle,
     is_dissociation_set,
+    level_sequences,
     path,
     random_forest_with_isolated_vertices,
     star,
@@ -87,18 +82,20 @@ def test_dp_equals_brute_exhaustively():
 
 
 def test_level_sequence_count_matches_decoded_tree_and_oracle():
-    # the count reads the parent array of the sequence; the oracle tree comes
-    # from an independent stack decode through Forest.from_edges
-    sequences = [ls for n in range(1, 13) for ls in level_sequences(n)]
-    sequences += [ls for n in range(1, 10) for ls in every_level_sequence(n)]
+    # the count reads the decoded tree; the oracle tree comes from an independent
+    # stack decode through Forest.from_edges
+    sequences = [seq for n in range(1, 13) for seq in level_sequences(n)]
+    sequences += [seq for n in range(1, 10) for seq in every_level_sequence(n)]
     assert len(sequences) == 987 + 2056
-    for ls in sequences:
-        tree = forest_from_level_sequence_oracle(ls)
-        parent = ls.parents()
-        assert all(p < v for v, p in enumerate(parent)), ls.seq  # parents come first
-        assert sorted((p, v) for v, p in enumerate(parent) if p != PARENT_NONE) == list(tree.edges)
-        r = alpha3_count_dp(forest_from_level_sequence(ls))
-        assert (r.alpha3, r.count) == dp_forest(tree), ls.seq
+    for seq in sequences:
+        tree = forest_from_level_sequence_oracle(seq)
+        decoded = forest_from_level_sequence(seq)
+        # parents come first: every vertex but the root has exactly one smaller neighbour
+        smaller = [sum(w < v for w in ns) for v, ns in enumerate(decoded.adjacency)]
+        assert smaller == [0] + [1] * (len(seq) - 1), seq
+        assert decoded.edges == tree.edges, seq
+        r = alpha3_count_dp(decoded)
+        assert (r.alpha3, r.count) == dp_forest(tree), seq
 
 
 def test_dp_on_forests_multiplies_component_counts():

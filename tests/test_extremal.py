@@ -13,7 +13,6 @@ from dissoc.extremal import (
 )
 from dissoc.forest import Forest, canonical_code, centroids
 from dissoc.structure import classify_vertices, critical_structure
-from dissoc.treegen import LevelSequence
 
 from util import _next_rooted, dp_forest, forest_from_level_sequence_oracle, path, star
 
@@ -146,8 +145,8 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         validated += 1
         return build(cls, *args, **kwargs)
 
-    def counting_decode(ls):
-        tree = decode(ls)
+    def counting_decode(seq):
+        tree = decode(seq)
         decoded[id(tree)] = tree
         return tree
 
@@ -231,10 +230,9 @@ def test_rooted_table_holds_every_rooted_tree_once_with_its_records():
     for c, record in enumerate(records):
         assert len(trees[c]) == ways[c] and record == extremal._close(folds[c]), c
         for seq in trees[c]:
-            ls = LevelSequence(seq)
-            r = alpha3_count_dp(treegen.forest_from_level_sequence(ls))
+            r = alpha3_count_dp(treegen.forest_from_level_sequence(seq))
             assert record[:2] == (r.alpha3, r.count), seq
-            tree = forest_from_level_sequence_oracle(ls)
+            tree = forest_from_level_sequence_oracle(seq)
             children = sum(1 << v for v in tree.adjacency[0])
             assert record[:2] == dp_forest(tree), seq
             assert record[2:4] == dp_forest(tree, exclude_bits=1), seq  # root excluded
@@ -242,7 +240,7 @@ def test_rooted_table_holds_every_rooted_tree_once_with_its_records():
 
 
 def _code(seq: tuple[int, ...]):
-    return canonical_code(treegen.forest_from_level_sequence(LevelSequence(seq)))
+    return canonical_code(treegen.forest_from_level_sequence(seq))
 
 
 def _sweep_trees(n: int):
@@ -257,15 +255,15 @@ def _sweep_trees(n: int):
             seqs = {_code(seq): seq for seq in extremal._grown(trees[base], trees, path)}
             assert len(seqs) == ways, (base, path)
             for seq in seqs.values():
-                yield block, LevelSequence(seq), extremal._close(fold)[:2]
+                yield block, seq, extremal._close(fold)[:2]
 
 
 def test_sweep_visits_every_free_tree_once():
     # one centroid: the root, a bare vertex; two: the root of T1 and of T2, its last child
     for n in range(3, 13):
         codes = []
-        for (_, base, _, _, _), ls, _ in _sweep_trees(n):
-            tree = treegen.forest_from_level_sequence(ls)
+        for (_, base, _, _, _), seq, _ in _sweep_trees(n):
+            tree = treegen.forest_from_level_sequence(seq)
             codes.append(canonical_code(tree))
             assert centroids(tree) == ((0,) if base == 0 else (0, n // 2)), tree.edges
         assert sorted(codes) == sorted(canonical_code(t) for t in treegen.free_trees(n)), n
@@ -274,11 +272,11 @@ def test_sweep_visits_every_free_tree_once():
 def test_sweep_counts_match_the_dp_on_every_tree():
     for n in range(3, 16):
         trees = 0
-        for _, ls, count in _sweep_trees(n):
+        for _, seq, count in _sweep_trees(n):
             trees += 1
-            r = alpha3_count_dp(treegen.forest_from_level_sequence(ls))
-            assert count == (r.alpha3, r.count), ls.seq
-            assert count == dp_forest(forest_from_level_sequence_oracle(ls)), ls.seq
+            r = alpha3_count_dp(treegen.forest_from_level_sequence(seq))
+            assert count == (r.alpha3, r.count), seq
+            assert count == dp_forest(forest_from_level_sequence_oracle(seq)), seq
         assert trees == treegen.free_tree_count(n), n
 
 
@@ -304,7 +302,7 @@ def test_blocks_make_up_the_whole_sweep():
 def test_sweep_at_orders_past_verify_guard(n, trees, record, holders):
     assert VERIFY_LIMIT < n <= extremal.SWEEP_LIMIT  # verify refuses these orders
     report = exhaustive_extremal_check(n)
-    assert report.trees_scanned == trees
+    assert report.trees_scanned == trees == treegen.free_tree_count(n)  # two independent counts
     assert report.observed_max == record == max_mds_formula(n)
     assert len(report.extremal_codes) == holders
     assert set(report.extremal_codes) == {canonical_code(t) for t in generate_extremal_family(n)}

@@ -14,13 +14,15 @@ from dissoc.forest import (
     parse_edge_list,
     serialize_edge_list,
 )
-from dissoc.treegen import free_trees, level_sequences, random_labeled_tree
+from dissoc.treegen import free_trees, random_labeled_tree
 
 from util import (
     ahu_code_oracle,
     brute_isomorphic,
     deadline,
+    forest_from_level_sequence_oracle,
     labeled_trees_pruefer,
+    level_sequences,
     path,
     random_forest_with_isolated_vertices,
     relabel,
@@ -70,10 +72,8 @@ def test_edges_are_the_sorted_edge_set():
         rng.shuffle(given)
         assert Forest.from_edges(forest.n, given).edges == forest.edges
     for n in range(1, 10):
-        for ls, tree in zip(level_sequences(n), free_trees(n)):
-            # a vertex's parent in the level sequence precedes it
-            parents = ls.parents()
-            assert tree.edges == tuple(sorted((parents[i], i) for i in range(1, n))), ls
+        for seq, tree in zip(level_sequences(n), free_trees(n)):
+            assert tree.edges == forest_from_level_sequence_oracle(seq).edges, seq
             assert tree.edges == _sorted_edge_set(tree)
 
 

@@ -24,7 +24,6 @@ from dissoc import (
 )
 from dissoc.forest import CanonicalCode, Forest, VertexSet, canonical_code, parse_edge_list
 from dissoc.kpath import CoverMatchingCertificate, PathFamily
-from dissoc.treegen import LevelSequence
 
 from util import replaced
 
@@ -52,8 +51,8 @@ def _records():
          Forest(3, ((1,), (0, 2), (1,)), None)),
         (VertexSet(7, 3), "VertexSet(bits=7, n=3)", VertexSet.from_iterable(3, [2, 1, 0]),
          VertexSet(7, 4)),
-        (LevelSequence((1, 2, 2)), "LevelSequence(seq=(1, 2, 2))", LevelSequence((1, 2, 2)),
-         LevelSequence((1, 2, 3))),
+        (PathFamily(2, ((0, 1),)), "PathFamily(k=2, paths=((0, 1),))", PathFamily(2, ((0, 1),)),
+         PathFamily(2, ((1, 2),))),
         (canonical_code(P3), "CanonicalCode(code=b'(()())')", CanonicalCode(b"(()())"), code),
         (alpha3_count_dp(P3), "DissociationResult(alpha3=2, count=3)", DissociationResult(2, 3),
          DissociationResult(2, 4)),
@@ -107,7 +106,7 @@ def test_forest_equality_ignores_the_cached_bfs():
 
 @pytest.mark.parametrize("record, field", [
     (P3, "n"), (P3, "labels"), (P3, "bfs"), (VertexSet(5, 3), "bits"),
-    (LevelSequence((1, 2)), "seq"), (alpha3_count_dp(P3), "count"),
+    (PathFamily(2, ()), "paths"), (alpha3_count_dp(P3), "count"),
     (CheckResult("pass", None), "status"),
     (P3, "edges"), (critical_structure(P3), "eta"),  # the cached and the computed reads too
 ])
@@ -156,6 +155,17 @@ def test_a_record_built_with_a_field_missing_or_unknown_is_refused(build):
         build()
 
 
+@pytest.mark.parametrize("record", [P3, critical_structure(P3)], ids=["Forest", "CriticalStructure"])
+def test_positional_and_keyword_builds_get_the_same_instance_dict(record):
+    # the engines read fields in their inner loops; on CPython 3.11 a dict filled from
+    # (name, value) pairs is larger than a keyword build's, and slower to read
+    values = [getattr(record, f) for f in record._fields]
+    positional = type(record)(*values)
+    keyword = type(record)(**dict(zip(record._fields, values)))
+    assert positional == keyword == record
+    assert sys.getsizeof(vars(positional)) == sys.getsizeof(vars(keyword))
+
+
 def test_reading_a_field_a_record_does_not_have_is_an_error():
     record = CheckResult("pass", None)
     with pytest.raises(AttributeError):
@@ -173,7 +183,7 @@ def test_pickle_round_trip_of_a_forest_with_its_bfs_cached():
     assert back.labels == ("a", "b", "c", "d") and back.bfs == order_parent
     with pytest.raises(AttributeError):
         back.n = 5
-    for record in (VertexSet(5, 3), LevelSequence((1, 2, 2)), critical_structure(forest)):
+    for record in (VertexSet(5, 3), PathFamily(2, ((0, 1),)), critical_structure(forest)):
         assert pickle.loads(pickle.dumps(record)) == record
 
 

@@ -6,12 +6,10 @@ import pytest
 from dissoc.errors import GuardExceeded
 from dissoc.forest import canonical_code
 from dissoc.treegen import (
-    LevelSequence,
     _walk,
     forest_from_level_sequence,
     free_tree_count,
     free_trees,
-    level_sequences,
     pruefer_decode,
     random_labeled_tree,
 )
@@ -20,6 +18,7 @@ from util import (
     every_level_sequence,
     forest_from_level_sequence_oracle,
     labeled_trees_pruefer,
+    level_sequences,
     level_sequences_oracle,
 )
 
@@ -28,39 +27,46 @@ FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
 
 
 def test_level_sequence_validation():
-    LevelSequence((1, 2, 3, 2))
-    for seq in ((2, 3), (1, 3), (), (1, 2, 4), (1, 2, 1), (1, 2, 3, 5)):
-        with pytest.raises(ValueError):
-            LevelSequence(seq)
+    assert forest_from_level_sequence((1, 2, 3, 2)).is_tree
+    start = "level sequence must start at level 1"
+    for seq, message in (((2, 3), start), ((1, 3), "invalid level 3 at position 1"), ((), start),
+                         ((1, 2, 4), "invalid level 4 at position 2"),
+                         ((1, 2, 1), "invalid level 1 at position 2"),
+                         ((1, 2, 3, 5), "invalid level 5 at position 3")):
+        with pytest.raises(ValueError) as exc:
+            forest_from_level_sequence(seq)
+        assert str(exc.value) == message, seq
 
 
 def test_walk_matches_allocating_oracle():
     # the in-place walk yields the sequences of the walk that copies the list
     # and splits it afresh at every step, in the same order
     for n in range(1, 17):
-        walk = [tuple(seq) for seq in _walk(n)]
-        assert walk == [ls.seq for ls in level_sequences_oracle(n)], n
+        assert list(level_sequences(n)) == list(level_sequences_oracle(n)), n
 
 
 def test_decode_level_sequence():
-    t = forest_from_level_sequence(LevelSequence((1, 2, 3, 2)))
+    t = forest_from_level_sequence((1, 2, 3, 2))
     assert t.edges == ((0, 1), (0, 3), (1, 2))
 
 
 def test_direct_decode_matches_validating_oracle():
     # dataclass equality: n, sorted edges, sorted adjacency and labels all match
-    decoded = [ls for n in range(1, 13) for ls in level_sequences(n)]
-    decoded += [ls for n in range(1, 11) for ls in every_level_sequence(n)]
+    decoded = [seq for n in range(1, 13) for seq in level_sequences(n)]
+    decoded += [seq for n in range(1, 11) for seq in every_level_sequence(n)]
     assert len(decoded) == 987 + 6918
-    for ls in decoded:
-        tree = forest_from_level_sequence(ls)
-        assert tree == forest_from_level_sequence_oracle(ls), ls.seq
+    for seq in decoded:
+        tree = forest_from_level_sequence(seq)
+        assert tree == forest_from_level_sequence_oracle(seq), seq
         assert tree.is_tree
 
 
 def test_free_tree_counts():
     for n, want in enumerate(FREE_TREE_COUNTS, start=1):
         assert free_tree_count(n) == want, n
+    # Otter's formula, not a walk: the count equals the walk's wherever the walk is quick
+    for n in range(1, 17):
+        assert free_tree_count(n) == sum(1 for _ in _walk(n)), n
 
 
 def test_free_trees_n4():
@@ -80,7 +86,7 @@ def test_free_trees_are_valid_and_distinct():
 
 
 def test_level_sequences_strictly_decreasing():
-    seqs = [ls.seq for ls in level_sequences(8)]
+    seqs = list(level_sequences(8))
     assert all(a > b for a, b in zip(seqs, seqs[1:]))
 
 

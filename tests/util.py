@@ -1,14 +1,14 @@
 """Shared test helpers: the names of the structure checks in report order, a record copy with
 fields changed, tiny builders, seeded random forests, a brute-force isomorphism oracle, every
-labeled tree of an order, every valid level sequence of an order, the allocating successor walk
-over the canonical ones, a level-sequence decoder through the validating constructor, the
-dissociation-set test, the subset scan for every maximum dissociation set, a second counting DP
-with its own state layout, per-query oracles for the vertex classes and the critical edges
-built on it, the critical-edge grouping from a built forest, the structure checks over every
-listed maximum set and as count identities over membership counts, the masked vertex classes by
-subset scan, the constructive maximum set, the per-edge mu3 loop, the two-BFS longest path in a
-vertex mask, exact k-path packing and cover searches on forests, and definition-level k-path
-searches on arbitrary graphs."""
+labeled tree of an order, the walk's level sequences as tuples, every valid level sequence of an
+order, the allocating successor walk over the canonical ones, a level-sequence decoder through
+the validating constructor, the dissociation-set test, the subset scan for every maximum
+dissociation set, a second counting DP with its own state layout, per-query oracles for the
+vertex classes and the critical edges built on it, the critical-edge grouping from a built
+forest, the structure checks over every listed maximum set and as count identities over
+membership counts, the masked vertex classes by subset scan, the constructive maximum set, the
+per-edge mu3 loop, the two-BFS longest path in a vertex mask, exact k-path packing and cover
+searches on forests, and definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dissoc.structure import (
     VertexClassification,
     critical_structure,
 )
-from dissoc.treegen import LevelSequence, pruefer_decode, random_labeled_tree
+from dissoc.treegen import _walk, pruefer_decode, random_labeled_tree
 
 BRUTE_FORCE_LIMIT = 26
 PRUEFER_LIMIT = 9
@@ -120,13 +120,18 @@ def labeled_trees_pruefer(n: int, guard: int = PRUEFER_LIMIT):
         yield pruefer_decode(seq, n)
 
 
+def level_sequences(n: int):
+    """The walk's centroid-canonical level sequences of order n, decreasing, as tuples."""
+    return map(tuple, _walk(n))
+
+
 def every_level_sequence(n: int):
     """Every valid level sequence of order n, canonical for its free tree or not."""
     stack = [(1,)]
     while stack:
         seq = stack.pop()
         if len(seq) == n:
-            yield LevelSequence(seq)
+            yield seq
             continue
         stack.extend(seq + (lvl,) for lvl in range(2, seq[-1] + 2))
 
@@ -192,7 +197,7 @@ def level_sequences_oracle(n: int):
     if n < 1:
         raise ValueError("order must be positive")
     if n == 1:
-        yield LevelSequence((1,))
+        yield (1,)
         return
     seq: list[int] | None = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
     while seq is not None:
@@ -201,13 +206,12 @@ def level_sequences_oracle(n: int):
             # jumped over non-canonical rootings; validate again before yielding
             seq = nxt
             continue
-        yield LevelSequence(tuple(seq))
+        yield tuple(seq)
         seq = _next_rooted(seq)
 
 
-def forest_from_level_sequence_oracle(ls: LevelSequence) -> Forest:
+def forest_from_level_sequence_oracle(seq: tuple[int, ...]) -> Forest:
     """Stack decode of preorder levels, validated by ``Forest.from_edges``."""
-    seq = ls.seq
     edges = []
     stack: list[int] = []
     for i, lvl in enumerate(seq):
