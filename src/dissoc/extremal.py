@@ -8,9 +8,10 @@ rooted subtrees (Otter, 1948; Jordan's centroid theorem) and compares the
 record and holders with the prediction. It reads only the subtrees' DP
 folds, so its table holds one record class per distinct (order, fold) of
 rooted tree, with ``ways``, its number of trees, and recipes. It folds
-class multisets depth first, counts their trees by multiset binomials,
-and expands, decodes and codes only the holders of the record. Orders
-above ``SWEEP_LIMIT``, read at each call, are refused before any work.
+class multisets depth first, the bare vertices that end one in a single
+step, counts their trees by multiset binomials, and expands, decodes and
+codes only the holders of the record. Orders above ``SWEEP_LIMIT``, read
+at each call, are refused before any work.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import GuardExceeded
 from .forest import Forest, _Frozen, canonical_code
 from .treegen import forest_from_level_sequence, map_free_trees
 
-SWEEP_LIMIT = 25
+SWEEP_LIMIT = 27
 
 # the edges of each leg: 0 is the hub, i >= 1 the leg's i-th new vertex
 _LEG_EDGES = {"P2": ((0, 1),), "P3": ((0, 1), (1, 2)), "P4": ((0, 1), (1, 2), (2, 3)),
@@ -130,9 +131,10 @@ def _multisets(table, base: int, rem: int, lo: int, hi: int) -> Iterator[tuple[l
     ``path``, non-increasing, its first index in [lo, hi] (classes of order at most
     ``rem``): yields (path, the fold of class ``base`` with the closed record of each
     class added as a child, the number of trees it stands for), depth first, one fold
-    step per node. ``base`` is the first pick of its own class, so a two-centroid pair
-    of one class of g trees stands for g(g+1)/2 trees (class 0, one bare vertex, stands
-    for one tree however often it repeats). Iterative; the path is a live list."""
+    step per class picked, but the bare vertices (class 0, last) that end a multiset in
+    one closed-form step. ``base`` is the first pick of its own class, so a two-centroid
+    pair of one class of g trees stands for g(g+1)/2 trees (class 0 stands for one tree
+    however often it repeats). Iterative; the path may be a live list."""
     sizes, records, folds, ends, ways = table
     path: list[int] = []
     stack: list[tuple] = []
@@ -141,6 +143,12 @@ def _multisets(table, base: int, rem: int, lo: int, hi: int) -> Iterator[tuple[l
     while True:
         b_s, b_w, x_s, x_w, u_s, u_w = fold
         for c in cands:  # the child step of ``dissociation._down``, without masks
+            if not c:  # the rest is ``rem`` bare vertices: excluded, or one kept with the root
+                o_s = u_s + 1
+                if o_s >= b_s:
+                    b_s, b_w = o_s, rem * u_w if o_s > b_s else b_w + rem * u_w
+                yield path + [0] * rem, (b_s, b_w, x_s + rem, x_w, u_s, u_w), w
+                continue
             cb_s, cb_w, cx_s, cx_w, cu_s, cu_w = records[c]
             m_s, m_w, o_s, o_w = b_s + cx_s, b_w * cx_w, u_s + cu_s, u_w * cu_w
             if o_s >= m_s:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dissoc import cli, dissociation, structure, treegen
+from dissoc import cli, dissociation, extremal, structure, treegen
 from dissoc.cli import main
 from dissoc.errors import TheoremViolation
 from dissoc.forest import canonical_code, parse_edge_list
@@ -203,7 +203,7 @@ def test_unwritable_csv_path_fails_before_any_work(capsys, tmp_path, argv, where
 
 @pytest.mark.parametrize("argv, code", [
     (("verify", "--n-max", "19"), 2),
-    (("extremal", "--n", "26", "--sweep"), 2),
+    (("extremal", "--n", str(extremal.SWEEP_LIMIT + 1), "--sweep"), 2),  # refused before any work
     (("verify", "--n-max", "3", "--k-list", "1"), 1),
 ], ids=["verify-guard", "sweep-guard", "bad-k-list"])
 def test_a_run_that_writes_no_rows_creates_no_csv_file(capsys, tmp_path, argv, code):

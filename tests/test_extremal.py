@@ -14,7 +14,14 @@ from dissoc.extremal import (
 from dissoc.forest import Forest, canonical_code, centroids
 from dissoc.structure import classify_vertices, critical_structure
 
-from util import _next_rooted, dp_forest, forest_from_level_sequence_oracle, path, star
+from util import (
+    _next_rooted,
+    dp_forest,
+    forest_from_level_sequence_oracle,
+    multisets_stepwise,
+    path,
+    star,
+)
 
 
 def test_formula_values():
@@ -111,8 +118,8 @@ def test_exhaustive_check_n5_degenerate_family():
 def test_exhaustive_check_guards(monkeypatch):
     with pytest.raises(ValueError):
         exhaustive_extremal_check(2)
-    with pytest.raises(GuardExceeded):
-        exhaustive_extremal_check(26)
+    with pytest.raises(GuardExceeded):  # past the limit, whatever it is: refused, no sweep
+        exhaustive_extremal_check(extremal.SWEEP_LIMIT + 1)
     monkeypatch.setattr(extremal, "SWEEP_LIMIT", 5)  # read at each call
     assert exhaustive_extremal_check(5).trees_scanned == 3  # the limit itself runs
     with pytest.raises(GuardExceeded):
@@ -237,6 +244,25 @@ def test_rooted_table_holds_every_rooted_tree_once_with_its_records():
             assert record[:2] == dp_forest(tree), seq
             assert record[2:4] == dp_forest(tree, exclude_bits=1), seq  # root excluded
             assert record[4:] == dp_forest(tree, include_bits=1, exclude_bits=children), seq
+
+
+def test_bare_vertex_tail_folds_as_one_step_per_vertex(monkeypatch):
+    # _multisets folds the bare vertices that end a multiset in one closed-form step; it
+    # yields the multisets, folds and tree counts of one child step per vertex, in order,
+    # on every block of the sweeps of order 3..16 and every call that builds the table of 24
+    calls = []
+    for n in range(3, 17):
+        table, _ = extremal._rooted_table(n)
+        calls += [(table, base, rem, lo, hi) for _, base, lo, hi, rem in extremal._sweep_blocks(n, table)]
+    built = extremal._rooted_table(24)
+    table, ends = built[0], built[0][3]
+    calls += [(table, 0, k - 1, 0, ends[k - 1] - 1) for k in range(2, 13)]
+    for args in calls:
+        got = [(tuple(path), fold, ways) for path, fold, ways in extremal._multisets(*args)]
+        want = [(tuple(path), fold, ways) for path, fold, ways in multisets_stepwise(*args)]
+        assert got == want, args[1:]
+    monkeypatch.setattr(extremal, "_multisets", multisets_stepwise)
+    assert extremal._rooted_table(24) == built
 
 
 def _code(seq: tuple[int, ...]):

@@ -2,13 +2,14 @@
 fields changed, tiny builders, seeded random forests, a brute-force isomorphism oracle, every
 labeled tree of an order, the walk's level sequences as tuples, every valid level sequence of an
 order, the allocating successor walk over the canonical ones, a level-sequence decoder through
-the validating constructor, the dissociation-set test, the subset scan for every maximum
-dissociation set, a second counting DP with its own state layout, per-query oracles for the
-vertex classes and the critical edges built on it, the critical-edge grouping from a built
-forest, the structure checks over every listed maximum set and as count identities over
-membership counts, the masked vertex classes by subset scan, the constructive maximum set, the
-per-edge mu3 loop, the two-BFS longest path in a vertex mask, exact k-path packing and cover
-searches on forests, and definition-level k-path searches on arbitrary graphs."""
+the validating constructor, the sweep's class multisets folded one child at a time, the
+dissociation-set test, the subset scan for every maximum dissociation set, a second counting DP
+with its own state layout, per-query oracles for the vertex classes and the critical edges built
+on it, the critical-edge grouping from a built forest, the structure checks over every listed
+maximum set and as count identities over membership counts, the masked vertex classes by subset
+scan, the constructive maximum set, the per-edge mu3 loop, the two-BFS longest path in a vertex
+mask, exact k-path packing and cover searches on forests, and definition-level k-path searches
+on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -221,6 +222,41 @@ def forest_from_level_sequence_oracle(seq: tuple[int, ...]) -> Forest:
             edges.append((stack[-1], i))
         stack.append(i)
     return Forest.from_edges(len(seq), edges)
+
+
+def multisets_stepwise(table, base: int, rem: int, lo: int, hi: int):
+    """The class multisets of ``extremal._multisets``, in its order, with one child fold
+    step per class picked, bare vertices too: no closed form for any run of children."""
+    sizes, records, folds, ends, ways = table
+    path: list[int] = []
+    stack: list[tuple] = []
+    fold, w, last, r = folds[base], ways[base], base, 1
+    cands = iter(range(hi, lo - 1, -1))
+    while True:
+        b_s, b_w, x_s, x_w, u_s, u_w = fold
+        for c in cands:
+            cb_s, cb_w, cx_s, cx_w, cu_s, cu_w = records[c]
+            m_s, m_w, o_s, o_w = b_s + cx_s, b_w * cx_w, u_s + cu_s, u_w * cu_w
+            if o_s >= m_s:
+                m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
+            child = m_s, m_w, x_s + cb_s, x_w * cb_w, u_s + cx_s, u_w * cx_w
+            k = r + 1 if c == last else 1  # the k-th pick of a class of g trees: C(g+k-1, k)
+            cw = w * ways[c] if k == 1 else w * (ways[c] + r) // k
+            left = rem - sizes[c]
+            path.append(c)
+            if not left:
+                yield path, child, cw
+                path.pop()
+                continue
+            stack.append((fold, w, last, r, rem, cands))
+            fold, w, last, r, rem = child, cw, c, k, left
+            cands = iter(range(min(c, ends[left] - 1), -1, -1))
+            break
+        else:
+            if not stack:
+                return
+            fold, w, last, r, rem, cands = stack.pop()
+            path.pop()
 
 
 def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
