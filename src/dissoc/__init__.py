@@ -1,7 +1,6 @@
 """Dissociation-set invariants, critical structure, and extremal verification on forests."""
 
 from .forest import (
-    CanonicalCode,
     Forest,
     VertexSet,
     canonical_code,
@@ -27,7 +26,6 @@ from .extremal import (
 )
 from .kpath import (
     CoverMatchingCertificate,
-    PathFamily,
     alpha_k_brute,
     greedy_cover_matching,
     verify_certificate,

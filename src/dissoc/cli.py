@@ -205,9 +205,9 @@ def _cmd_extremal(args) -> int:
             "n": report.n,
             "formula_value": str(report.formula_value),
             "characterized": report.characterized,
-            "predicted_codes": [c.text() for c in report.predicted_codes],
+            "predicted_codes": [c.decode("ascii") for c in report.predicted_codes],
             "observed_max": str(report.observed_max),
-            "extremal_codes": [c.text() for c in report.extremal_codes],
+            "extremal_codes": [c.decode("ascii") for c in report.extremal_codes],
             "match": report.match,
             "trees_scanned": report.trees_scanned,
             "note": report.note,
@@ -225,7 +225,7 @@ def _cmd_extremal(args) -> int:
         "n": args.n,
         "formula_value": str(max_mds_formula(args.n)),
         "family_size": len(family),
-        "predicted_codes": [canonical_code(t).text() for t in family],
+        "predicted_codes": [canonical_code(t).decode("ascii") for t in family],
         "family_edge_lists": [serialize_edge_list(normalize_indices(t)) for t in family],
     }
     _print_json(doc)

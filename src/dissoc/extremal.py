@@ -77,7 +77,7 @@ def lt8() -> Forest:
 def _dedupe(trees: Iterable[Forest]) -> list[Forest]:
     by_code: dict[bytes, Forest] = {}
     for t in trees:
-        by_code.setdefault(canonical_code(t).code, t)
+        by_code.setdefault(canonical_code(t), t)
     return [by_code[c] for c in sorted(by_code)]
 
 

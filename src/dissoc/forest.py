@@ -7,8 +7,9 @@ threads; the edge list, read off the adjacency, and the one BFS that
 roots every component at its smallest vertex are computed on first use
 and cached. Centroids and an AHU code rooted at the centroid
 (Aho, Hopcroft and Ullman, 1974) give isomorphism-level identity for
-trees; the code folds a reversed BFS and holds only the open frontier,
-O(n) bytes, though copying them costs O(n * depth). ``Forest.from_edges``
+trees; a canonical code is plain ``bytes``, ordered as bytes. The code
+folds a reversed BFS and holds only the open frontier, O(n) bytes,
+though copying them costs O(n * depth). ``Forest.from_edges``
 validates the edges of every input but a validated level sequence, which
 ``treegen`` decodes directly as a tree. ``Forest`` and ``VertexSet`` refuse
 field assignment; they compare and hash by their fields, never by the cache.
@@ -21,7 +22,7 @@ appearance.
 
 from __future__ import annotations
 
-from functools import cached_property, total_ordering
+from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Iterator
 
@@ -151,9 +152,6 @@ class Forest(_Frozen):
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Each edge once as (smaller, larger), ascending: the sorted adjacency, read in order."""
@@ -204,9 +202,6 @@ class Forest(_Frozen):
             raise ValueError(f"no edge {e}")
         return Forest.from_edges(self.n, (x for x in self.edges if x != e), self.labels)
 
-    def adjacency_masks(self) -> list[int]:
-        return [sum(1 << w for w in ns) for ns in self.adjacency]
-
 
 def centroids(forest: Forest) -> tuple[int, ...]:
     """The one or two vertices minimizing the largest component left by their removal."""
@@ -233,19 +228,6 @@ def centroids(forest: Forest) -> tuple[int, ...]:
     return tuple(out)
 
 
-@total_ordering
-class CanonicalCode(_Frozen):
-    """Relabeling-invariant identity of a tree, ordered by its bytes; equal iff isomorphic."""
-
-    _fields = ("code",)
-
-    def __lt__(self, other: CanonicalCode) -> bool:
-        return self.code < other.code if other.__class__ is CanonicalCode else NotImplemented
-
-    def text(self) -> str:
-        return self.code.decode("ascii")
-
-
 def _ahu_code(forest: Forest, root: int) -> bytes:
     """AHU code rooted at ``root``; a vertex's children are its neighbours already
     coded, and a parent pops their codes, so ``code`` holds at most 2n bytes."""
@@ -263,11 +245,12 @@ def _ahu_code(forest: Forest, root: int) -> bytes:
     return code[root]
 
 
-def canonical_code(forest: Forest) -> CanonicalCode:
-    """AHU code rooted at the centroid; for two centroids, the smaller of both codes."""
+def canonical_code(forest: Forest) -> bytes:
+    """AHU code rooted at the centroid; for two centroids, the smaller of both codes.
+    Equal iff the trees are isomorphic; the ASCII of ``(`` and ``)``."""
     if not forest.is_tree:
         raise ValueError("canonical codes are defined on connected trees")
-    return CanonicalCode(min(_ahu_code(forest, c) for c in centroids(forest)))
+    return min(_ahu_code(forest, c) for c in centroids(forest))
 
 
 def parse_edge_list(text: str) -> Forest:
@@ -309,17 +292,13 @@ def parse_edge_list(text: str) -> Forest:
 
 
 def serialize_edge_list(forest: Forest) -> str:
-    """Canonical text: edges sorted by (min, max) index, isolated vertices declared."""
-    items: list[tuple[tuple[int, ...], str]] = [
-        (e, f"{e[0]} {e[1]}") for e in forest.edges
-    ]
-    for v in range(forest.n):
-        if not forest.adjacency[v]:
-            items.append(((v,), f"vertex {v}"))
-    items.sort(key=lambda kv: kv[0])
-    if not items:
-        return ""
-    return "\n".join(line for _, line in items) + "\n"
+    """Canonical text: edges sorted by (min, max) index, isolated vertices declared,
+    in one pass over the sorted adjacency: each vertex declares itself if isolated,
+    else writes its edges to larger neighbours."""
+    return "".join(
+        "".join(f"{v} {w}\n" for w in ns if w > v) if ns else f"vertex {v}\n"
+        for v, ns in enumerate(forest.adjacency)
+    )
 
 
 def normalize_indices(forest: Forest) -> Forest:

@@ -4,7 +4,8 @@ A k-path is a (not necessarily induced) path on k vertices. alpha_k is
 the largest vertex set inducing no k-path, mu_k the largest number of
 vertex-disjoint k-paths, tau_k the smallest vertex set meeting every
 k-path. On forests tau_k = mu_k and alpha_k + mu_k = n; the greedy here
-produces a cover/matching pair of equal size that certifies both.
+produces one record ``(k, cover, paths)``, a cover and a matching of k-paths
+of equal size, that certifies both.
 
 The greedy repeatedly roots a component, takes the deepest vertex u
 whose subtree still contains a k-path, covers u, extracts one k-path
@@ -28,20 +29,11 @@ from .forest import PARENT_NONE, Forest, VertexSet, _Frozen
 ALPHA_BRUTE_LIMIT = 26
 
 
-class PathFamily(_Frozen):
-    """Vertex-disjoint k-paths, each an ordered vertex tuple."""
-
-    _fields = ("k", "paths")
-
-
 class CoverMatchingCertificate(_Frozen):
-    """Equal-size k-vertex-cover (a ``VertexSet``) / k-matching pair for one forest."""
+    """Equal-size k-vertex-cover (a ``VertexSet``) / k-matching pair for one forest:
+    the matching is ``paths``, vertex-disjoint k-paths, each an ordered vertex tuple."""
 
-    _fields = ("cover", "matching")
-
-    @property
-    def k(self) -> int:
-        return self.matching.k
+    _fields = ("k", "cover", "paths")
 
 
 def _longest_path(forest: Forest, mask: int) -> int:
@@ -80,7 +72,7 @@ def alpha_k_brute(forest: Forest, k: int) -> int:
         raise ValueError("k must be at least 2")
     n = forest.n
     alpha_k_guard(n)
-    masks = forest.adjacency_masks()
+    masks = [sum(1 << w for w in ns) for ns in forest.adjacency]
     for size in range(n, -1, -1):
         for members in combinations(range(n), size):
             bits = 0
@@ -202,9 +194,7 @@ def greedy_cover_matching(forest: Forest, k: int) -> CoverMatchingCertificate:
     cover.sort()
     paths.sort()
     # positional: the fast way to build a record, and verify builds these per tree and k
-    return CoverMatchingCertificate(
-        VertexSet.from_iterable(forest.n, cover), PathFamily(k, tuple(paths))
-    )
+    return CoverMatchingCertificate(k, VertexSet.from_iterable(forest.n, cover), tuple(paths))
 
 
 def mu3_edge_deletions(forest: Forest) -> tuple[int, tuple[int, ...]]:
@@ -290,7 +280,7 @@ def verify_certificate(forest: Forest, cert: CoverMatchingCertificate) -> list[s
     problems = []
     k = cert.k
     used: set[int] = set()
-    for path in cert.matching.paths:
+    for path in cert.paths:
         if len(path) != k:
             problems.append(f"path {path} has {len(path)} vertices, expected {k}")
             continue
@@ -303,10 +293,8 @@ def verify_certificate(forest: Forest, cert: CoverMatchingCertificate) -> list[s
         if overlap:
             problems.append(f"paths share vertices {sorted(overlap)}")
         used |= set(path)
-    if len(cert.cover) != len(cert.matching.paths):
-        problems.append(
-            f"cover size {len(cert.cover)} != matching size {len(cert.matching.paths)}"
-        )
+    if len(cert.cover) != len(cert.paths):
+        problems.append(f"cover size {len(cert.cover)} != matching size {len(cert.paths)}")
     alive = ((1 << forest.n) - 1) & ~cert.cover.bits
     if _longest_path(forest, alive) >= k:
         problems.append(f"a {k}-path survives removal of the cover")

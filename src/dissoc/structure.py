@@ -224,7 +224,7 @@ def kpath_checks(
         return None, _outcome(exc.witness), CheckResult("skipped", "no certificate")
     problems = verify_certificate(forest, cert)
     alpha = alpha3 if k == 3 else alpha_k_brute(forest, k)
-    mu = len(cert.matching.paths)
+    mu = len(cert.paths)
     holds = alpha + mu == forest.n
     return (
         {"alpha_k": alpha, "mu_k": mu, "holds": holds},

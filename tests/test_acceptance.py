@@ -91,12 +91,12 @@ def test_criterion_4_kke_property():
             for k in (2, 3, 4, 5):
                 cert = greedy_cover_matching(t, k)
                 assert verify_certificate(t, cert) == [], (n, k, t.edges)
-                assert len(cert.cover) == len(cert.matching.paths)
+                assert len(cert.cover) == len(cert.paths)
                 alpha = r.alpha3 if k == 3 else alpha_k_brute(t, k)
-                assert alpha + len(cert.matching.paths) == n, (n, k, t.edges)
+                assert alpha + len(cert.paths) == n, (n, k, t.edges)
                 if n <= 10:
                     mu = mu_k_brute(t, k)
-                    assert len(cert.matching.paths) == mu == tau_k_brute(t, k), (n, k)
+                    assert len(cert.paths) == mu == tau_k_brute(t, k), (n, k)
                 checked += 1
     _report("4 k-KE greedy certificates n<=12, k in 2..5", True, f"{checked} checks")
 

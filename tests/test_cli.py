@@ -119,7 +119,7 @@ def test_gen_trees_blocks_parse_back(capsys):
     assert code == 0
     blocks = out.strip().split("\n\n")
     assert len(blocks) == 3
-    codes = {canonical_code(parse_edge_list(b)).code for b in blocks}
+    codes = {canonical_code(parse_edge_list(b)) for b in blocks}
     assert len(codes) == 3
 
 
@@ -426,7 +426,7 @@ def test_analyze_reports_a_bad_certificate(capsys, monkeypatch, p5_file):
 
     def tampered(forest, k):
         cert = greedy(forest, k)
-        return replaced(cert, matching=replaced(cert.matching, paths=((0, 2, 4),)))
+        return replaced(cert, paths=((0, 2, 4),))
 
     monkeypatch.setattr(structure, "greedy_cover_matching", tampered)
     code, out, _ = run(capsys, "analyze", p5_file)

@@ -8,7 +8,6 @@ from dissoc.extremal import lt8
 from dissoc.forest import Forest, VertexSet
 from dissoc.kpath import (
     CoverMatchingCertificate,
-    PathFamily,
     _longest_path,
     alpha_k_brute,
     greedy_cover_matching,
@@ -84,14 +83,14 @@ def test_mu_tau_examples():
 def test_greedy_p3():
     cert = greedy_cover_matching(path(3), 3)
     assert len(cert.cover) == 1
-    assert cert.matching.paths == ((0, 1, 2),)
+    assert cert.paths == ((0, 1, 2),)
     assert verify_certificate(path(3), cert) == []
 
 
 def test_greedy_empty_when_no_k_path():
     cert = greedy_cover_matching(star(4), 4)  # longest path order is 3
     assert len(cert.cover) == 0
-    assert cert.matching.paths == ()
+    assert cert.paths == ()
     assert verify_certificate(star(4), cert) == []
     assert tau_k_brute(star(4), 4) == 0
     assert mu_k_brute(star(4), 4) == 0
@@ -109,7 +108,7 @@ def test_greedy_is_deterministic():
     a = greedy_cover_matching(t, 3)
     b = greedy_cover_matching(t, 3)
     assert a.cover.members() == b.cover.members()
-    assert a.matching.paths == b.matching.paths
+    assert a.paths == b.paths
 
 
 def test_greedy_equals_brute_exhaustively():
@@ -119,7 +118,7 @@ def test_greedy_equals_brute_exhaustively():
                 cert = greedy_cover_matching(t, k)
                 assert verify_certificate(t, cert) == [], (n, k, t.edges)
                 mu = mu_k_brute(t, k)
-                assert len(cert.matching.paths) == mu == tau_k_brute(t, k), (n, k)
+                assert len(cert.paths) == mu == tau_k_brute(t, k), (n, k)
                 assert alpha_k_brute(t, k) + mu == n, (n, k)
 
 
@@ -128,21 +127,18 @@ def test_certificate_checker_catches_tampering():
     cert = greedy_cover_matching(t, 3)
     assert verify_certificate(t, cert) == []
     # cover too small for the matching
-    bad = CoverMatchingCertificate(cover=VertexSet(0, 6), matching=cert.matching)
+    bad = CoverMatchingCertificate(k=3, cover=VertexSet(0, 6), paths=cert.paths)
     assert any("cover size" in p for p in verify_certificate(t, bad))
     # a fake path that is not a path of the tree
-    bad = CoverMatchingCertificate(cover=cert.cover, matching=PathFamily(3, ((0, 2, 4),)))
+    bad = CoverMatchingCertificate(k=3, cover=cert.cover, paths=((0, 2, 4),))
     assert any("missing edge" in p for p in verify_certificate(t, bad))
     # overlapping paths
     bad = CoverMatchingCertificate(
-        cover=VertexSet.from_iterable(6, [1, 3]),
-        matching=PathFamily(3, ((0, 1, 2), (2, 3, 4))),
+        k=3, cover=VertexSet.from_iterable(6, [1, 3]), paths=((0, 1, 2), (2, 3, 4))
     )
     assert any("share vertices" in p for p in verify_certificate(t, bad))
     # cover missing a surviving path
-    bad = CoverMatchingCertificate(
-        cover=VertexSet.from_iterable(6, [5]), matching=PathFamily(3, ((0, 1, 2),))
-    )
+    bad = CoverMatchingCertificate(k=3, cover=VertexSet.from_iterable(6, [5]), paths=((0, 1, 2),))
     assert any("survives" in p for p in verify_certificate(t, bad))
 
 
@@ -169,7 +165,7 @@ def test_alpha_plus_mu_can_fall_short_off_forests():
 
 def _assert_mu3_pass_matches_oracle(forest):
     base, _ = mu3_edge_deletions(forest)
-    assert base == len(greedy_cover_matching(forest, 3).matching.paths), forest.edges
+    assert base == len(greedy_cover_matching(forest, 3).paths), forest.edges
     assert critical_edges_mu3(forest) == critical_edges_mu3_oracle(forest), forest.edges
 
 

@@ -1,6 +1,9 @@
 """The package surface: record behaviour, what importing loads, and the README example."""
 
+import ast
+import functools
 import importlib
+import importlib.util
 import pickle
 import re
 import subprocess
@@ -22,13 +25,14 @@ from dissoc import (
     exhaustive_extremal_check,
     greedy_cover_matching,
 )
-from dissoc.forest import CanonicalCode, Forest, VertexSet, canonical_code, parse_edge_list
-from dissoc.kpath import CoverMatchingCertificate, PathFamily
+from dissoc.forest import Forest, VertexSet, canonical_code, parse_edge_list
+from dissoc.kpath import CoverMatchingCertificate
 
 from util import replaced
 
 SRC = Path(dissoc.__file__).resolve().parent.parent
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 P3 = parse_edge_list("a b\nb c")
 P3_STRUCTURE = (
@@ -44,16 +48,13 @@ def _records():
     """(record, its repr text, an equal record built apart, one that differs in a field)."""
     s = critical_structure(P3)
     report = exhaustive_extremal_check(4)
-    code = CanonicalCode(b"((())())")
+    code = b"((())())"
     return [
         (P3, "Forest(n=3, adjacency=((1,), (0, 2), (1,)), labels=('a', 'b', 'c'))",
          Forest(3, ((1,), (0, 2), (1,)), ("a", "b", "c")),
          Forest(3, ((1,), (0, 2), (1,)), None)),
         (VertexSet(7, 3), "VertexSet(bits=7, n=3)", VertexSet.from_iterable(3, [2, 1, 0]),
          VertexSet(7, 4)),
-        (PathFamily(2, ((0, 1),)), "PathFamily(k=2, paths=((0, 1),))", PathFamily(2, ((0, 1),)),
-         PathFamily(2, ((1, 2),))),
-        (canonical_code(P3), "CanonicalCode(code=b'(()())')", CanonicalCode(b"(()())"), code),
         (alpha3_count_dp(P3), "DissociationResult(alpha3=2, count=3)", DissociationResult(2, 3),
          DissociationResult(2, 4)),
         (s, P3_STRUCTURE, critical_structure(parse_edge_list("x y\ny z")), replaced(s, count=4)),
@@ -63,10 +64,10 @@ def _records():
          VertexClassification(VertexSet(7, 3), VertexSet(0, 3), VertexSet(1, 3))),
         (CheckResult("pass", None), "CheckResult(status='pass', witness=None)",
          CheckResult(status="pass", witness=None), CheckResult("fail", "w")),
-        (greedy_cover_matching(P3, 2), "CoverMatchingCertificate(cover=VertexSet(bits=2, n=3), "
-         "matching=PathFamily(k=2, paths=((1, 2),)))",
-         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((1, 2),))),
-         CoverMatchingCertificate(VertexSet(2, 3), PathFamily(2, ((0, 1),)))),
+        (greedy_cover_matching(P3, 2), "CoverMatchingCertificate(k=2, cover=VertexSet(bits=2, n=3), "
+         "paths=((1, 2),))",
+         CoverMatchingCertificate(2, VertexSet(2, 3), ((1, 2),)),
+         CoverMatchingCertificate(2, VertexSet(2, 3), ((0, 1),))),
         (report, f"ExtremalReport(n=4, formula_value=2, predicted_codes=({code!r},), "
          f"observed_max=2, extremal_codes=({code!r},), match=True, characterized=False, "
          f"trees_scanned=2, note='record holders at n=4 are not characterized; only the "
@@ -106,7 +107,7 @@ def test_forest_equality_ignores_the_cached_bfs():
 
 @pytest.mark.parametrize("record, field", [
     (P3, "n"), (P3, "labels"), (P3, "bfs"), (VertexSet(5, 3), "bits"),
-    (PathFamily(2, ()), "paths"), (alpha3_count_dp(P3), "count"),
+    (greedy_cover_matching(P3, 2), "paths"), (alpha3_count_dp(P3), "count"),
     (CheckResult("pass", None), "status"),
     (P3, "edges"), (critical_structure(P3), "eta"),  # the cached and the computed reads too
 ])
@@ -118,21 +119,17 @@ def test_fields_refuse_assignment(record, field):
 
 
 def test_canonical_codes_sort_by_their_bytes():
+    # a code is the AHU bytes themselves, so every sorted list of codes is in byte order
     texts = ("a b\nb c\nc d", "a b\na c\na d", "a b")
     codes = [canonical_code(parse_edge_list(text)) for text in texts]
-    assert sorted(codes) == [CanonicalCode(c) for c in sorted(c.code for c in codes)]
-    low, high = CanonicalCode(b"(()())"), CanonicalCode(b"(())")
-    assert low < high and low <= high and high > low and high >= low and low <= low
-    assert not low < low and max(codes) == max(codes, key=lambda c: c.code)
-    with pytest.raises(TypeError):
-        low < (b"(())",)  # noqa: B015 - records are no longer tuples
+    assert all(type(c) is bytes for c in codes)
+    assert sorted(codes) == [b"((())())", b"(()()())", b"(())"]
 
 
 def test_derived_reads_follow_their_source():
     s, cert = critical_structure(P3), greedy_cover_matching(P3, 2)
     assert s.eta == len(s.critical_edges) == 2 and replaced(s, critical_edges=()).eta == 0
-    assert cert.k == cert.matching.k == 2
-    assert replaced(cert, matching=PathFamily(3, ())).k == 3
+    assert cert.k == 2 and "k" in cert._fields  # a field, not read through the paths
     assert P3.edges == ((0, 1), (1, 2)) and "edges" not in P3._fields
 
 
@@ -183,7 +180,7 @@ def test_pickle_round_trip_of_a_forest_with_its_bfs_cached():
     assert back.labels == ("a", "b", "c", "d") and back.bfs == order_parent
     with pytest.raises(AttributeError):
         back.n = 5
-    for record in (VertexSet(5, 3), PathFamily(2, ((0, 1),)), critical_structure(forest)):
+    for record in (VertexSet(5, 3), greedy_cover_matching(forest, 2), critical_structure(forest)):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
@@ -219,6 +216,40 @@ def test_every_annotation_resolves():
     assert dissoc.random_labeled_tree in fns and dissoc.Forest.from_edges.__func__ in fns
     for fn in fns:
         typing.get_type_hints(fn)  # raises NameError on a name the module never bound
+
+
+def _assigned_literal(path: Path, name: str):
+    """The literal a file's module level assigns to ``name``, alone or in a tuple
+    unpacking, read without importing the file."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                         else [(target, node.value)])
+                for t, value in pairs:
+                    if isinstance(t, ast.Name) and t.id == name:
+                        return ast.literal_eval(value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_every_name_the_traced_benchmark_patches_or_gates_on_exists():
+    # the traced run patches each LAYERS entry by name and crashes on one the package lacks
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, attrs in spans.LAYERS.items():
+        home = importlib.import_module(f"dissoc.{mod_name}")
+        for attr in attrs:
+            *owner, last = attr.split(".")
+            obj = functools.reduce(getattr, owner, home)
+            # a method is patched through the class dict, so an inherited one would not do
+            assert last in vars(obj), f"dissoc.{mod_name}.{attr}"
+            assert callable(getattr(obj, last)), f"dissoc.{mod_name}.{attr}"
+    names = spans.layer_names()
+    assert len(set(names)) == len(names) and spans.ROOT in names
+    run = PERFBENCH / "run.py"
+    assert set(_assigned_literal(run, "ONLY_ON")) <= set(names)
+    assert _assigned_literal(run, "DOMINANT") in names
 
 
 def test_readme_library_example():

@@ -72,7 +72,7 @@ def test_free_tree_counts():
 def test_free_trees_n4():
     trees = list(free_trees(4))
     assert len(trees) == 2
-    degs = sorted(tuple(sorted(t.degree(v) for v in range(4))) for t in trees)
+    degs = sorted(tuple(sorted(len(t.adjacency[v]) for v in range(4))) for t in trees)
     assert degs == [(1, 1, 1, 3), (1, 1, 2, 2)]
 
 
@@ -81,7 +81,7 @@ def test_free_trees_are_valid_and_distinct():
         codes = set()
         for t in free_trees(n):
             assert t.is_tree and t.n == n
-            codes.add(canonical_code(t).code)
+            codes.add(canonical_code(t))
         assert len(codes) == FREE_TREE_COUNTS[n - 1]
 
 
@@ -105,15 +105,15 @@ def test_pruefer_cayley_counts():
 
 
 def test_pruefer_class_counts():
-    assert len({canonical_code(t).code for t in labeled_trees_pruefer(3)}) == 1
-    assert len({canonical_code(t).code for t in labeled_trees_pruefer(4)}) == 2
-    assert len({canonical_code(t).code for t in labeled_trees_pruefer(6)}) == 6
+    assert len({canonical_code(t) for t in labeled_trees_pruefer(3)}) == 1
+    assert len({canonical_code(t) for t in labeled_trees_pruefer(4)}) == 2
+    assert len({canonical_code(t) for t in labeled_trees_pruefer(6)}) == 6
 
 
 def test_pruefer_classes_match_free_trees():
     for n in range(1, 9):
-        free = {canonical_code(t).code for t in free_trees(n)}
-        labeled = {canonical_code(t).code for t in labeled_trees_pruefer(n)}
+        free = {canonical_code(t) for t in free_trees(n)}
+        labeled = {canonical_code(t) for t in labeled_trees_pruefer(n)}
         assert free == labeled, n
 
 
@@ -126,7 +126,7 @@ def test_pruefer_decode_known_sequence():
     # sequence (3, 3, 3, 4) encodes a double star on 0..5
     t = pruefer_decode((3, 3, 3, 4), 6)
     assert t.is_tree
-    assert sorted(t.degree(v) for v in range(6)) == [1, 1, 1, 1, 2, 4]
+    assert sorted(len(t.adjacency[v]) for v in range(6)) == [1, 1, 1, 1, 2, 4]
 
 
 def test_random_labeled_tree_reproducible():

@@ -85,9 +85,9 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
     """Backtracking vertex-mapping search; exact, exponential, small n only."""
     if a.n != b.n or len(a.edges) != len(b.edges):
         return False
-    if sorted(map(a.degree, range(a.n))) != sorted(map(b.degree, range(b.n))):
+    if sorted(map(len, a.adjacency)) != sorted(map(len, b.adjacency)):
         return False
-    order = sorted(range(a.n), key=a.degree, reverse=True)
+    order = sorted(range(a.n), key=lambda v: len(a.adjacency[v]), reverse=True)
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -96,7 +96,7 @@ def brute_isomorphic(a: Forest, b: Forest) -> bool:
             return True
         v = order[i]
         for w in range(b.n):
-            if w in used or b.degree(w) != a.degree(v):
+            if w in used or len(b.adjacency[w]) != len(a.adjacency[v]):
                 continue
             if any((x in a.adjacency[v]) != (y in b.adjacency[w]) for x, y in mapping.items()):
                 continue
@@ -259,6 +259,11 @@ def multisets_stepwise(table, base: int, rem: int, lo: int, hi: int):
             path.pop()
 
 
+def adjacency_masks(forest: Forest) -> list[int]:
+    """Each vertex's neighbours as a bitmask."""
+    return [sum(1 << w for w in ns) for ns in forest.adjacency]
+
+
 def is_dissociation_set(forest: Forest, vs: VertexSet) -> bool:
     """True iff the subset induces maximum degree at most one."""
     bits = vs.bits
@@ -280,7 +285,7 @@ def brute_force_mds(forest: Forest, guard: int = BRUTE_FORCE_LIMIT) -> tuple[int
     n = forest.n
     if n > guard:
         raise GuardExceeded(f"brute force limited to n <= {guard}, got {n}")
-    masks = forest.adjacency_masks()
+    masks = adjacency_masks(forest)
     best = -1
     found: list[int] = []
     for subset in range(1 << n):
@@ -455,7 +460,7 @@ def group_critical_edges_oracle(n: int, crit: list[tuple[int, int]]):
         if len(comp) == 2:
             insulated.append(comp)  # BFS from the smaller end: already sorted
         elif len(comp) == 3:
-            mid = next(v for v in comp if critical.degree(v) == 2)
+            mid = next(v for v in comp if len(critical.adjacency[v]) == 2)
             ends = sorted(v for v in comp if v != mid)
             triples.append((ends[0], mid, ends[1]))
         elif len(comp) > 3:
@@ -548,7 +553,7 @@ def brute_force_masked_classes(forest: Forest, include: int, exclude: int):
     n = forest.n
     if n > BRUTE_FORCE_LIMIT:
         raise GuardExceeded(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    masks = forest.adjacency_masks()
+    masks = adjacency_masks(forest)
     free = ((1 << n) - 1) & ~(include | exclude)
     best, every, some = -1, 0, 0
     sub = free
@@ -641,7 +646,7 @@ def deadline(seconds: float):
 
 
 def _mu3(forest: Forest) -> int:
-    return len(greedy_cover_matching(forest, 3).matching.paths)
+    return len(greedy_cover_matching(forest, 3).paths)
 
 
 def critical_edges_mu3_oracle(forest: Forest) -> tuple[tuple[int, int], ...]:
