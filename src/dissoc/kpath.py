@@ -66,25 +66,35 @@ def alpha_k_guard(n: int) -> None:
         raise GuardExceeded(f"alpha_k brute force limited to n <= {ALPHA_BRUTE_LIMIT}, got {n}")
 
 
+def _k_path_masks(forest: Forest, k: int) -> list[int]:
+    """Bit masks of the k-paths, each once, as a forest path is fixed by its ends: every
+    walk of k - 1 steps that never steps back and ends above its start."""
+    adj = forest.adjacency
+    walks = [(u, u, -1, 1 << u) for u in range(forest.n)]  # (start, end, vertex before it, mask)
+    for _ in range(k - 1):
+        walks = [(u, w, v, m | 1 << w) for u, v, back, m in walks for w in adj[v] if w != back]
+    return [m for u, v, _, m in walks if v > u]
+
+
 def alpha_k_brute(forest: Forest, k: int) -> int:
-    """Exact alpha_k by descending-size subset search, up to ``ALPHA_BRUTE_LIMIT``."""
+    """Exact alpha_k, up to ``ALPHA_BRUTE_LIMIT``: n - r for the fewest r removed vertices
+    that meet every k-path mask, found by trying removed sets in ascending size. It stays
+    exhaustive to be the oracle for any faster alpha_k, and reads no certificate or DP, so
+    ``kke`` compares it with the greedy as two independent computations."""
     if k < 2:
         raise ValueError("k must be at least 2")
     n = forest.n
     alpha_k_guard(n)
-    masks = [sum(1 << w for w in ns) for ns in forest.adjacency]
-    for size in range(n, -1, -1):
-        for members in combinations(range(n), size):
-            bits = 0
-            for v in members:
-                bits |= 1 << v
-            if k == 2:
-                # no 2-path means an independent set
-                if all(masks[v] & bits == 0 for v in members):
-                    return size
-            elif _longest_path(forest, bits) < k:
-                return size
-    raise AssertionError("unreachable: the empty set always qualifies")
+    paths = _k_path_masks(forest, k)
+    for r in range(n + 1):
+        for removed in combinations([1 << v for v in range(n)], r):
+            cut = sum(removed)
+            for p in paths:
+                if not p & cut:
+                    break
+            else:
+                return n - r
+    raise AssertionError("unreachable: removing every vertex meets every path")
 
 
 def _root_alive(forest: Forest, root: int, alive: set[int]):

@@ -8,6 +8,7 @@ from dissoc.extremal import lt8
 from dissoc.forest import Forest, VertexSet
 from dissoc.kpath import (
     CoverMatchingCertificate,
+    _k_path_masks,
     _longest_path,
     alpha_k_brute,
     greedy_cover_matching,
@@ -29,6 +30,7 @@ from util import (
     random_forest_with_isolated_vertices,
     star,
     tau_k_brute,
+    tree_k_path_sets,
 )
 
 LARGE = 10**5
@@ -69,6 +71,34 @@ def test_alpha_k_examples():
         alpha_k_brute(path(4), 1)
     with pytest.raises(GuardExceeded):
         alpha_k_brute(path(27), 3)
+
+
+def _assert_masked_search_matches_oracles(forest):
+    longest = longest_path_order(forest)
+    for k in range(2, 7):
+        masks = _k_path_masks(forest, k)
+        assert sorted(masks) == sorted(tree_k_path_sets(forest, k)), (forest.edges, k)
+        assert len(set(masks)) == len(masks), (forest.edges, k)
+        alpha = alpha_k_brute(forest, k)
+        assert alpha == forest.n - tau_k_brute(forest, k) == alpha_k_raw(forest.adjacency, k), (
+            forest.edges, k)
+        if k > longest:
+            assert masks == [] and alpha == forest.n, (forest.edges, k)
+
+
+def test_path_masks_and_alpha_k_match_the_oracles_on_every_small_tree():
+    checked = 0
+    for n in range(1, 10):
+        for t in free_trees(n):
+            _assert_masked_search_matches_oracles(t)
+            checked += 1
+    assert checked == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47
+
+
+def test_path_masks_and_alpha_k_match_the_oracles_on_forests_with_isolated_vertices():
+    rng = random.Random(29)
+    for _ in range(200):
+        _assert_masked_search_matches_oracles(random_forest_with_isolated_vertices(rng, 9))
 
 
 def test_mu_tau_examples():
