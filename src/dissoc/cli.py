@@ -7,7 +7,6 @@ deterministic and goes to stdout; runtime statistics go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import time
@@ -40,11 +39,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: A003 - argparse API
-        raise _UsageError(message)
-
-
 def _parse_k_list(text: str) -> list[int]:
     try:
         ks = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -58,6 +52,8 @@ def _parse_k_list(text: str) -> list[int]:
 def _at_least(low: int):
     def integer(text: str) -> int:
         if int(text) < low:
+            import argparse  # build_parser loaded it
+
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
         return int(text)
 
@@ -245,7 +241,13 @@ def _cmd_gen_trees(args) -> int:
 
 
 @functools.cache  # building takes about 1 ms; in-process callers of main() share one parser
-def build_parser() -> _Parser:
+def build_parser():
+    import argparse  # with the gettext it loads, it takes about as long to import as the package
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # noqa: A003 - argparse API
+            raise _UsageError(message)
+
     parser = _Parser(prog="dissoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,23 +7,26 @@ scans every free tree of the order as its centroid plus a multiset of
 rooted subtrees (Otter, 1948; Jordan's centroid theorem) and compares the
 record and holders with the prediction. It reads only the subtrees' DP
 folds, so its table holds one record class per distinct (order, fold) of
-rooted tree, with ``ways``, its number of trees, and recipes. It folds
-class multisets depth first, the bare vertices that end one in a single
-step, counts their trees by multiset binomials, and expands, decodes and
-codes only the holders of the record. Orders above ``SWEEP_LIMIT``, read
-at each call, are refused before any work.
+rooted tree, with ``ways``, its number of trees, and recipes. One walk
+folds class multisets depth first, for the table and for each block of
+the sweep: each child step closes in place the multiset that ends there
+in bare vertices, added in one closed-form step, and the rooted edges
+that may end a multiset fold in an inner loop. It counts trees by
+multiset binomials, and expands, decodes and codes only the holders of
+the record. Orders above ``SWEEP_LIMIT``, read at each call, are refused
+before any work.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations_with_replacement, groupby, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GuardExceeded
 from .forest import Forest, _Frozen, canonical_code
 from .treegen import forest_from_level_sequence, map_free_trees
 
-SWEEP_LIMIT = 27
+SWEEP_LIMIT = 28
 
 # the edges of each leg: 0 is the hub, i >= 1 the leg's i-th new vertex
 _LEG_EDGES = {"P2": ((0, 1),), "P3": ((0, 1), (1, 2)), "P4": ((0, 1), (1, 2), (2, 3)),
@@ -126,49 +129,77 @@ def _close(fold: tuple) -> tuple:
     return b_s, b_w, x_s, x_w, u_s, u_w
 
 
-def _multisets(table, base: int, rem: int, lo: int, hi: int) -> Iterator[tuple[list[int], tuple, int]]:
-    """Every multiset of table classes whose orders sum to ``rem``, as the index list
-    ``path``, non-increasing, its first index in [lo, hi] (classes of order at most
-    ``rem``): yields (path, the fold of class ``base`` with the closed record of each
-    class added as a child, the number of trees it stands for), depth first, one fold
-    step per class picked, but the bare vertices (class 0, last) that end a multiset in
-    one closed-form step. ``base`` is the first pick of its own class, so a two-centroid
-    pair of one class of g trees stands for g(g+1)/2 trees (class 0 stands for one tree
-    however often it repeats). Iterative; the path may be a live list."""
+def _block_record(block, classes: dict | None = None) -> tuple[int, int, list[tuple]]:
+    """(trees, record, holders (base, child classes) at the record) of a block (table, base,
+    lo, hi, rem): the trees of class ``base`` plus each multiset of table classes whose orders
+    sum to ``rem``, non-increasing, its first class in [lo, hi] (classes of order at most
+    ``rem``). With ``classes``, each multiset's (trees, child classes) is also added under its
+    fold before the close.
+
+    Depth first, one child fold step per class picked. Each step closes in place the multiset
+    that ends there in its ``left`` bare vertices (class 0), added in one closed-form step, and
+    tests it against the record, building a holder tuple only at the record. Once the largest
+    class that may follow is the rooted edge (class 1), the edges fold in an inner loop, with
+    no stack frame. ``base`` is the first pick of its own class, so a two-centroid pair of one
+    class of g trees stands for g(g+1)/2 trees; classes 0 and 1 hold one tree each, so their
+    picks keep the count. Iterative."""
+    table, base, lo, hi, rem = block
     sizes, records, folds, ends, ways = table
+    trees, best, holders = 0, -1, []
     path: list[int] = []
     stack: list[tuple] = []
     fold, w, last, r = folds[base], ways[base], base, 1
     cands = iter(range(hi, lo - 1, -1))
     while True:
-        b_s, b_w, x_s, x_w, u_s, u_w = fold
-        for c in cands:  # the child step of ``dissociation._down``, without masks
-            if not c:  # the rest is ``rem`` bare vertices: excluded, or one kept with the root
-                o_s = u_s + 1
-                if o_s >= b_s:
-                    b_s, b_w = o_s, rem * u_w if o_s > b_s else b_w + rem * u_w
-                yield path + [0] * rem, (b_s, b_w, x_s + rem, x_w, u_s, u_w), w
-                continue
+        for c in cands:
             cb_s, cb_w, cx_s, cx_w, cu_s, cu_w = records[c]
-            m_s, m_w, o_s, o_w = b_s + cx_s, b_w * cx_w, u_s + cu_s, u_w * cu_w
-            if o_s >= m_s:
-                m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
-            child = m_s, m_w, x_s + cb_s, x_w * cb_w, u_s + cx_s, u_w * cx_w
             k = r + 1 if c == last else 1  # the k-th pick of a class of g trees: C(g+k-1, k)
             cw = w * ways[c] if k == 1 else w * (ways[c] + r) // k
-            left = rem - sizes[c]
-            path.append(c)
-            if not left:
-                yield path, child, cw
-                path.pop()
+            b_s, b_w, x_s, x_w, u_s, u_w = fold
+            left, size, j = rem, sizes[c], 0  # j: the rooted edges picked after c
+            while True:  # the child step of ``dissociation._down``, without masks
+                m_s, m_w, o_s, o_w = b_s + cx_s, b_w * cx_w, u_s + cu_s, u_w * cu_w
+                if o_s >= m_s:
+                    m_s, m_w = o_s, o_w if o_s > m_s else m_w + o_w
+                b_s, b_w, x_s, x_w, u_s, u_w = m_s, m_w, x_s + cb_s, x_w * cb_w, u_s + cx_s, u_w * cx_w
+                left -= size
+                e_s = x_s + left
+                if left:  # then ``left`` bare vertices: excluded, or one kept with the root
+                    o_s = u_s + 1
+                    if o_s >= m_s:
+                        m_s, m_w = o_s, left * u_w if o_s > m_s else m_w + left * u_w
+                if classes is not None:
+                    classes.setdefault((m_s, m_w, e_s, x_w, u_s, u_w), []).append(
+                        (cw, (*path, c, *(1,) * j, *(0,) * left)))
+                trees += cw
+                if u_s >= m_s:  # the close of ``_close``, for the count alone
+                    m_w = u_w if u_s > m_s else m_w + u_w
+                    m_s = u_s
+                if e_s > m_s:
+                    m_w = x_w if e_s > m_s + 1 else m_w + x_w
+                if m_w >= best:
+                    if m_w > best:
+                        best, holders = m_w, []
+                    holders.append((base, (*path, c, *(1,) * j, *(0,) * left)))
+                top = ends[left] - 1  # the largest class that may follow
+                if c < top:
+                    top = c
+                if top != 1:
+                    break
+                # only rooted edges (class 1, one tree) and bare vertices can follow
+                cb_s, cb_w, cx_s, cx_w, cu_s, cu_w = records[1]
+                size = 2
+                j += 1
+            if top < 2:  # what may follow is folded already
                 continue
             stack.append((fold, w, last, r, rem, cands))
-            fold, w, last, r, rem = child, cw, c, k, left
-            cands = iter(range(min(c, ends[left] - 1), -1, -1))
+            path.append(c)
+            fold, w, last, r, rem = (b_s, b_w, x_s, x_w, u_s, u_w), cw, c, k, left
+            cands = iter(range(top, 0, -1))  # not class 0: each step closes its bare vertices
             break
         else:
             if not stack:
-                return
+                return trees, best, holders
             fold, w, last, r, rem, cands = stack.pop()
             path.pop()
 
@@ -185,13 +216,13 @@ def _rooted_table(n: int):
     table = sizes, records, folds, ends, ways
     for k in range(2, n // 2 + 1):
         classes: dict[tuple, list] = {}  # fold: its (trees, recipe) pairs
-        for path, fold, w in _multisets(table, 0, k - 1, 0, ends[k - 1] - 1):
-            classes.setdefault(fold, []).append((w, tuple(path)))
-        sizes += [k] * len(classes)
-        folds += classes
-        records += map(_close, classes)
-        ways += [sum(w for w, _ in built) for built in classes.values()]
-        recipes += [[path for _, path in built] for built in classes.values()]
+        _block_record((table, 0, 0, ends[k - 1] - 1, k - 1), classes)
+        built = sorted(classes.items())  # so the table does not depend on the walk's order
+        sizes += [k] * len(built)
+        folds += [fold for fold, _ in built]
+        records += [_close(fold) for fold, _ in built]
+        ways += [sum(w for w, _ in made) for _, made in built]
+        recipes += [sorted(path for _, path in made) for _, made in built]
         ends.append(len(sizes))
     ends += [len(sizes)] * (n - len(ends))
     return table, recipes
@@ -199,7 +230,7 @@ def _rooted_table(n: int):
 
 def _sweep_blocks(n: int, table) -> list[tuple]:
     """The blocks of the sweep of order n, each (table, base, lo, hi, rem): the trees
-    of class ``base`` plus a multiset of ``_multisets(table, base, rem, lo, hi)``.
+    of class ``base`` plus each multiset of classes that ``_block_record`` folds.
 
     A free tree with one centroid is that vertex plus a multiset of rooted trees of
     order at most (n-1)/2 summing to n-1, one block per class of the largest child.
@@ -213,24 +244,6 @@ def _sweep_blocks(n: int, table) -> list[tuple]:
         half = ends[n // 2 - 1]
         blocks += [(table, t1, half, t1, n // 2) for t1 in reversed(range(half, ends[n // 2]))]
     return blocks
-
-
-def _block_record(block) -> tuple[int, int, list[tuple[int, tuple[int, ...]]]]:
-    """(trees, record, holders (base, child classes) at the record) of a block."""
-    table, base, lo, hi, rem = block
-    trees, best, holders = 0, -1, []
-    for path, (b_s, count, x_s, x_w, u_s, u_w), w in _multisets(table, base, rem, lo, hi):
-        trees += w
-        if u_s >= b_s:  # the close of ``_close``, for the count alone
-            count = u_w if u_s > b_s else count + u_w
-            b_s = u_s
-        if x_s > b_s:
-            count = x_w if x_s > b_s + 1 else count + x_w
-        if count > best:
-            best, holders = count, [(base, tuple(path))]
-        elif count == best:
-            holders.append((base, tuple(path)))
-    return trees, best, holders
 
 
 def _grown(roots, trees, path: Sequence[int]) -> list[tuple[int, ...]]:

@@ -16,6 +16,7 @@ from dissoc.structure import classify_vertices, critical_structure
 
 from util import (
     _next_rooted,
+    block_record_stepwise,
     dp_forest,
     forest_from_level_sequence_oracle,
     multisets_stepwise,
@@ -140,9 +141,8 @@ def test_sweep_builds_each_tree_once(monkeypatch):
     build = Forest.from_edges.__func__
     decode = treegen.forest_from_level_sequence
     code = extremal.canonical_code
-    multisets, block_record = extremal._multisets, extremal._block_record
+    block_record = extremal._block_record
     validated = 0
-    in_block = False
     counted: list[tuple[int, tuple[int, ...], int]] = []
     decoded: dict[int, Forest] = {}  # holding each tree keeps its id unique
     coded_decoded = 0
@@ -162,19 +162,13 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         coded_decoded += id(tree) in decoded
         return code(tree)
 
-    def counting_block_record(block):
-        nonlocal in_block
-        in_block = True
-        try:
-            return block_record(block)
-        finally:
-            in_block = False
-
-    def counting_multisets(table, base, rem, lo, hi):
-        for path, child, ways in multisets(table, base, rem, lo, hi):
-            if in_block:  # trees of the sweep, not a class of the table
-                counted.append((base, tuple(path), ways))
-            yield path, child, ways
+    def counting_block_record(block, classes=None):
+        if classes is not None:  # the classes of the table, not trees of the sweep
+            return block_record(block, classes)
+        folded: dict[tuple, list] = {}  # every multiset the block folds, under its fold
+        result = block_record(block, folded)
+        counted.extend((block[1], path, ways) for made in folded.values() for ways, path in made)
+        return result
 
     formula = max_mds_formula(12)
     holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(12))
@@ -185,7 +179,6 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         monkeypatch.setattr(module, "forest_from_level_sequence", counting_decode)
     monkeypatch.setattr(extremal, "canonical_code", counting_code)
     monkeypatch.setattr(extremal, "_block_record", counting_block_record)
-    monkeypatch.setattr(extremal, "_multisets", counting_multisets)
     report = exhaustive_extremal_check(12)
     assert report.trees_scanned == sum(ways for _, _, ways in counted) == 551
     # the 37 rooted trees of order 1..6 fall into 33 classes, so fewer multisets than trees
@@ -246,23 +239,62 @@ def test_rooted_table_holds_every_rooted_tree_once_with_its_records():
             assert record[4:] == dp_forest(tree, include_bits=1, exclude_bits=children), seq
 
 
+def _folded(block) -> list[tuple[tuple[int, ...], tuple, int]]:
+    """(path, fold, trees) of every multiset ``_block_record`` folds in a block, sorted."""
+    classes: dict[tuple, list] = {}
+    extremal._block_record(block, classes)
+    return sorted((path, fold, ways) for fold, made in classes.items() for ways, path in made)
+
+
+def _stepwise(block) -> list[tuple[tuple[int, ...], tuple, int]]:
+    table, base, lo, hi, rem = block
+    walk = multisets_stepwise(table, base, rem, lo, hi)
+    return sorted((tuple(path), fold, ways) for path, fold, ways in walk)
+
+
+def _stepwise_classes(block, classes):
+    """``_block_record``'s filing of each multiset under its fold, from the stepwise fold."""
+    for path, fold, ways in _stepwise(block):
+        classes.setdefault(fold, []).append((ways, path))
+
+
 def test_bare_vertex_tail_folds_as_one_step_per_vertex(monkeypatch):
-    # _multisets folds the bare vertices that end a multiset in one closed-form step; it
-    # yields the multisets, folds and tree counts of one child step per vertex, in order,
-    # on every block of the sweeps of order 3..16 and every call that builds the table of 24
-    calls = []
+    # _block_record folds the bare vertices that end a multiset in one closed-form step and
+    # a run of rooted edges in its inner loop; it folds the multisets, folds and tree counts
+    # of one child step per vertex, on every block of the sweeps of order 3..16 and every call
+    # that builds the table of 24, and the table built from the stepwise fold is the same
+    blocks = []
     for n in range(3, 17):
         table, _ = extremal._rooted_table(n)
-        calls += [(table, base, rem, lo, hi) for _, base, lo, hi, rem in extremal._sweep_blocks(n, table)]
+        blocks += extremal._sweep_blocks(n, table)
     built = extremal._rooted_table(24)
     table, ends = built[0], built[0][3]
-    calls += [(table, 0, k - 1, 0, ends[k - 1] - 1) for k in range(2, 13)]
-    for args in calls:
-        got = [(tuple(path), fold, ways) for path, fold, ways in extremal._multisets(*args)]
-        want = [(tuple(path), fold, ways) for path, fold, ways in multisets_stepwise(*args)]
-        assert got == want, args[1:]
-    monkeypatch.setattr(extremal, "_multisets", multisets_stepwise)
+    blocks += [(table, 0, 0, ends[k - 1] - 1, k - 1) for k in range(2, 13)]
+    for block in blocks:
+        assert _folded(block) == _stepwise(block), block[1:]
+    monkeypatch.setattr(extremal, "_block_record", _stepwise_classes)
     assert extremal._rooted_table(24) == built
+
+
+def test_block_record_matches_the_stepwise_fold():
+    # every block of the sweeps of order 3..18: trees, record and holders, from the walk's
+    # in-place close and from one _close per multiset of the stepwise fold
+    for n in range(3, 19):
+        table, _ = extremal._rooted_table(n)
+        for block in extremal._sweep_blocks(n, table):
+            trees, record, holders = extremal._block_record(block)
+            assert len(holders) == len(set(holders)), (n, block[1:])
+            assert (trees, record, set(holders)) == block_record_stepwise(block), (n, block[1:])
+
+
+def test_pair_block_at_order_4_takes_no_bare_vertex():
+    # the two-centroid block of n=4 pairs the rooted edge with itself: lo = 1, so no bare
+    # vertex may follow T1's root; two of them would add the claw (count 1) as a second tree
+    table, _ = extremal._rooted_table(4)
+    block = (table, 1, 1, 1, 2)
+    assert block in extremal._sweep_blocks(4, table)
+    assert extremal._block_record(block) == (1, 2, [(1, (1,))])  # the 4-path alone
+    assert block_record_stepwise(block) == (1, 2, {(1, (1,))})
 
 
 def _code(seq: tuple[int, ...]):
@@ -275,8 +307,8 @@ def _sweep_trees(n: int):
     table, recipes = extremal._rooted_table(n)
     trees = extremal._expand(recipes, range(len(table[0])))
     for block in extremal._sweep_blocks(n, table):
-        _, base, lo, hi, rem = block
-        for path, fold, ways in extremal._multisets(table, base, rem, lo, hi):
+        base = block[1]
+        for path, fold, ways in _folded(block):
             # an ordered pair (T1, T2) of one class gives its free tree twice
             seqs = {_code(seq): seq for seq in extremal._grown(trees[base], trees, path)}
             assert len(seqs) == ways, (base, path)

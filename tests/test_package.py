@@ -190,7 +190,8 @@ def test_import_loads_every_module_and_no_optional_dependency():
     out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)],
                          capture_output=True, text=True, check=True).stdout
     loaded = set(out.split())
-    assert not loaded & {"multiprocessing", "csv", "dataclasses", "inspect", "json", "heapq"}
+    assert not loaded & {"multiprocessing", "csv", "dataclasses", "inspect", "json", "heapq",
+                         "argparse", "gettext"}
     ours = {f"dissoc.{p.stem}" for p in (SRC / "dissoc").glob("*.py") if p.stem != "__init__"}
     assert len(ours) == 8 and ours <= loaded, ours - loaded
 

@@ -2,14 +2,14 @@
 fields changed, tiny builders, seeded random forests, a brute-force isomorphism oracle, every
 labeled tree of an order, the walk's level sequences as tuples, every valid level sequence of an
 order, the allocating successor walk over the canonical ones, a level-sequence decoder through
-the validating constructor, the sweep's class multisets folded one child at a time, the
-dissociation-set test, the subset scan for every maximum dissociation set, a second counting DP
-with its own state layout, per-query oracles for the vertex classes and the critical edges built
-on it, the critical-edge grouping from a built forest, the structure checks over every listed
-maximum set and as count identities over membership counts, the masked vertex classes by subset
-scan, the constructive maximum set, the per-edge mu3 loop, the two-BFS longest path in a vertex
-mask, exact k-path packing and cover searches on forests, and definition-level k-path searches
-on arbitrary graphs."""
+the validating constructor, the sweep's class multisets folded one child at a time and a
+block's record from them, the dissociation-set test, the subset scan for every maximum
+dissociation set, a second counting DP with its own state layout, per-query oracles for the
+vertex classes and the critical edges built on it, the critical-edge grouping from a built
+forest, the structure checks over every listed maximum set and as count identities over
+membership counts, the masked vertex classes by subset scan, the constructive maximum set, the
+per-edge mu3 loop, the two-BFS longest path in a vertex mask, exact k-path packing and cover
+searches on forests, and definition-level k-path searches on arbitrary graphs."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from itertools import combinations, product
 
 from dissoc.dissociation import enumerate_mds
 from dissoc.errors import GuardExceeded, TheoremViolation
+from dissoc.extremal import _close
 from dissoc.forest import PARENT_NONE, Forest, VertexSet, centroids, parse_edge_list
 from dissoc.kpath import greedy_cover_matching
 from dissoc.structure import (
@@ -225,8 +226,10 @@ def forest_from_level_sequence_oracle(seq: tuple[int, ...]) -> Forest:
 
 
 def multisets_stepwise(table, base: int, rem: int, lo: int, hi: int):
-    """The class multisets of ``extremal._multisets``, in its order, with one child fold
-    step per class picked, bare vertices too: no closed form for any run of children."""
+    """Every class multiset of the sweep block (table, base, lo, hi, rem) that
+    ``extremal._block_record`` folds, as (path, fold, trees), depth first with one child fold
+    step per class picked, rooted edges and bare vertices too: no closed form or inner loop
+    for any run of children."""
     sizes, records, folds, ends, ways = table
     path: list[int] = []
     stack: list[tuple] = []
@@ -257,6 +260,21 @@ def multisets_stepwise(table, base: int, rem: int, lo: int, hi: int):
                 return
             fold, w, last, r, rem, cands = stack.pop()
             path.pop()
+
+
+def block_record_stepwise(block) -> tuple[int, int, set[tuple[int, tuple[int, ...]]]]:
+    """(trees, record, holder set) of a sweep block from ``multisets_stepwise``, each
+    multiset closed by ``extremal._close``."""
+    table, base, lo, hi, rem = block
+    trees, best, holders = 0, -1, set()
+    for path, fold, ways in multisets_stepwise(table, base, rem, lo, hi):
+        trees += ways
+        count = _close(fold)[1]
+        if count > best:
+            best, holders = count, set()
+        if count == best:
+            holders.add((base, tuple(path)))
+    return trees, best, holders
 
 
 def adjacency_masks(forest: Forest) -> list[int]:
