@@ -1,13 +1,15 @@
 """Command-line surface: analyze, enumerate, verify, extremal, gen-trees.
 
 Exit codes: 0 success, 1 usage or input error, 2 guard exceeded,
-3 a checked fact failed on some tree (a counterexample). Data output is
-deterministic and goes to stdout; runtime statistics go to stderr.
+3 a checked fact failed on some tree (a counterexample), 141 the reader
+closed stdout early (128 + SIGPIPE). Data output is deterministic and
+goes to stdout; runtime statistics go to stderr.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import time
 from itertools import islice
@@ -17,13 +19,7 @@ from typing import Sequence
 from .dissociation import enumerate_mds
 from .errors import GuardExceeded, ParseError, TheoremViolation
 from .extremal import exhaustive_extremal_check, generate_extremal_family, max_mds_formula
-from .forest import (
-    Forest,
-    canonical_code,
-    normalize_indices,
-    parse_edge_list,
-    serialize_edge_list,
-)
+from .forest import Forest, normalize_indices, parse_edge_list, serialize_edge_list
 from .kpath import alpha_k_guard
 from .structure import critical_structure, kpath_checks, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
@@ -32,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_VIOLATION = 3
+EXIT_PIPE = 141
 VERIFY_LIMIT = 18  # verify's own order guard; extremal --sweep has SWEEP_LIMIT
 
 
@@ -221,8 +218,8 @@ def _cmd_extremal(args) -> int:
         "n": args.n,
         "formula_value": str(max_mds_formula(args.n)),
         "family_size": len(family),
-        "predicted_codes": [canonical_code(t).decode("ascii") for t in family],
-        "family_edge_lists": [serialize_edge_list(normalize_indices(t)) for t in family],
+        "predicted_codes": [code.decode("ascii") for code in family],
+        "family_edge_lists": [serialize_edge_list(normalize_indices(t)) for t in family.values()],
     }
     _print_json(doc)
     return EXIT_OK
@@ -291,19 +288,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "extremal" and not args.sweep and (args.jobs or args.csv is not None):
             raise _UsageError("extremal: --jobs and --csv need --sweep")
         if getattr(args, "csv", None) is None:
-            return args.func(args)
-        # args.csv becomes the open file: a bad path fails before any work, append mode
-        # leaves an existing file as it was until _write_csv replaces it, and a file
-        # opened here that no row reached is removed again
-        path = Path(args.csv)
-        fresh = not path.exists()
-        with open(path, "a", newline="", encoding="utf-8") as args.csv:
-            try:
-                return args.func(args)
-            finally:
-                if fresh and not args.csv.tell():
-                    args.csv.close()
-                    path.unlink()
+            status = args.func(args)
+        else:
+            # args.csv becomes the open file: a bad path fails before any work, append mode
+            # leaves an existing file as it was until _write_csv replaces it, and a file
+            # opened here that no row reached is removed again
+            path = Path(args.csv)
+            fresh = not path.exists()
+            with open(path, "a", newline="", encoding="utf-8") as args.csv:
+                try:
+                    status = args.func(args)
+                finally:
+                    if fresh and not args.csv.tell():
+                        args.csv.close()
+                        path.unlink()
+        sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early: the exit flush goes to devnull, as the signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (_UsageError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,16 @@
 """Record counts of maximum dissociation sets over all trees of one order.
 
 The closed-form record value depends on n mod 3, and the record holders
-are spider-like trees S*(...) built by gluing one designated leaf of each
-leg tree into a shared hub, plus one sporadic 8-vertex tree. The sweep
-scans every free tree of the order as its centroid plus a multiset of
-rooted subtrees (Otter, 1948; Jordan's centroid theorem) and compares the
-record and holders with the prediction. It reads only the subtrees' DP
-folds, so its table holds one record class per distinct (order, fold) of
-rooted tree, with ``ways``, its number of trees, and recipes. One walk
+are spiders S*(...), legs hung from a shared hub, plus one sporadic
+8-vertex tree. A leg is data: its run of DFS preorder levels below the
+hub at level 1. A spider's levels go through ``forest_from_level_sequence``,
+the one decode of every tree the package builds from levels, and the
+family of an order is keyed by canonical code, each tree coded once. The
+sweep scans every free tree of the order as its centroid plus a multiset
+of rooted subtrees (Otter, 1948; Jordan's centroid theorem) and compares
+the record and holders with the prediction. It reads only the subtrees'
+DP folds, so its table holds one record class per distinct (order, fold)
+of rooted tree, with ``ways``, its number of trees, and recipes. One walk
 folds class multisets depth first, for the table and for each block of
 the sweep: each child step closes in place the multiset that ends there
 in bare vertices, added in one closed-form step, and the rooted edges
@@ -28,12 +31,15 @@ from .treegen import forest_from_level_sequence, map_free_trees
 
 SWEEP_LIMIT = 28
 
-# the edges of each leg: 0 is the hub, i >= 1 the leg's i-th new vertex
-_LEG_EDGES = {"P2": ((0, 1),), "P3": ((0, 1), (1, 2)), "P4": ((0, 1), (1, 2), (2, 3)),
-             "K13": ((0, 1), (1, 2), (1, 3))}
-LEG_KINDS = tuple(_LEG_EDGES)
-
-LegSpec = tuple[str, ...]
+# each leg's DFS preorder levels below the hub at level 1
+_LEG_LEVELS = {"P2": (2,), "P3": (2, 3), "P4": (2, 3, 4), "K13": (2, 3, 3)}
+LEG_KINDS = tuple(_LEG_LEVELS)
+# n = 3m + r: the legs of each base shape of residue r, and the kinds of its m - 1 tail legs
+_BASES = (((("P3",),), ("P4",)),
+          ((("P3", "P2"),), ("P4", "K13")),
+          ((("P3", "P3"), ("P2",) * 4, ("P3", "P2", "P2")), ("P4", "K13")))
+_NOTES = {4: "record holders at n=4 are not characterized; only the record value is compared",
+          5: "family list degenerates at n=5 to all three trees of order 5"}
 
 
 def max_mds_formula(n: int) -> int:
@@ -44,15 +50,11 @@ def max_mds_formula(n: int) -> int:
         # single vertex and single edge each have exactly one maximum set
         return 1
     m, r = divmod(n, 3)
-    if r == 0:
-        return 3 ** (m - 1) + m + 1
-    if r == 1:
-        return 3 ** (m - 1) + 1
-    return 3 ** (m - 1)
+    return 3 ** (m - 1) + (m + 1, 1, 0)[r]
 
 
 def star_construction(legs: Sequence[str]) -> Forest:
-    """Glue legs at a shared hub vertex 0.
+    """Hang legs from a shared hub, vertex 0, each leg's vertices in preorder.
 
     P2 adds a pendant vertex, P3 a pendant 2-path, P4 a pendant 3-path,
     K13 a pendant claw centre carrying two extra leaves.
@@ -60,14 +62,12 @@ def star_construction(legs: Sequence[str]) -> Forest:
     legs = tuple(legs)
     if not legs:
         raise ValueError("at least one leg required")
-    edges: list[tuple[int, int]] = []
-    nxt = 1
+    levels = [1]
     for leg in legs:
-        if leg not in _LEG_EDGES:
+        if leg not in _LEG_LEVELS:
             raise ValueError(f"unknown leg kind {leg!r}; expected one of {LEG_KINDS}")
-        edges += [(a and nxt + a - 1, nxt + b - 1) for a, b in _LEG_EDGES[leg]]
-        nxt += len(_LEG_EDGES[leg])
-    return Forest.from_edges(nxt, edges)
+        levels += _LEG_LEVELS[leg]
+    return forest_from_level_sequence(levels)
 
 
 def lt8() -> Forest:
@@ -77,39 +77,28 @@ def lt8() -> Forest:
     return Forest.from_edges(8, edges, labels=("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4"))
 
 
-def _dedupe(trees: Iterable[Forest]) -> list[Forest]:
-    by_code: dict[bytes, Forest] = {}
-    for t in trees:
-        by_code.setdefault(canonical_code(t), t)
-    return [by_code[c] for c in sorted(by_code)]
-
-
-def generate_extremal_family(n: int) -> list[Forest]:
-    """All predicted record holders of order n, deduplicated and sorted by code.
+def generate_extremal_family(n: int) -> dict[bytes, Forest]:
+    """All predicted record holders of order n, by canonical code, in code order.
 
     For n = 3m the single tree S*(P3, P4^(m-1)); for n = 3m+1 the trees
     S*(P3, P2, T1..Tm-1) with each Ti in {P4, K13}; for n = 3m+2 the three
     base shapes S*(P3,P3,...), S*(P2,P2,P2,P2,...), S*(P3,P2,P2,...) with
-    the same tails, plus the sporadic tree at n = 8. At n = 4 the list
-    degenerates to the 4-path, which is not asserted as a characterization.
+    the same tails, plus the sporadic tree at n = 8. The first tree built
+    of each code is kept. At n = 4 the family degenerates to the 4-path,
+    which is not asserted as a characterization.
     """
     if n < 3:
         raise ValueError("families are defined for n >= 3")
     m, r = divmod(n, 3)
-    specs: list[LegSpec] = []
-    if r == 0:
-        specs.append(("P3",) + ("P4",) * (m - 1))
-    elif r == 1:
-        for tail in combinations_with_replacement(("P4", "K13"), m - 1):
-            specs.append(("P3", "P2") + tail)
-    else:
-        for base in (("P3", "P3"), ("P2", "P2", "P2", "P2"), ("P3", "P2", "P2")):
-            for tail in combinations_with_replacement(("P4", "K13"), m - 1):
-                specs.append(base + tail)
-    trees = [star_construction(s) for s in specs]
+    bases, kinds = _BASES[r]
+    trees = [star_construction(base + tail)
+             for base in bases for tail in combinations_with_replacement(kinds, m - 1)]
     if n == 8:
         trees.append(lt8())
-    return _dedupe(trees)
+    family: dict[bytes, Forest] = {}
+    for t in trees:
+        family.setdefault(canonical_code(t), t)
+    return {code: family[code] for code in sorted(family)}
 
 
 class ExtremalReport(_Frozen):
@@ -268,14 +257,6 @@ def _expand(recipes, wanted: Iterable[int]) -> dict[int, list[tuple[int, ...]]]:
     return trees
 
 
-def _family_note(n: int) -> str:
-    if n == 4:
-        return "record holders at n=4 are not characterized; only the record value is compared"
-    if n == 5:
-        return "family list degenerates at n=5 to all three trees of order 5"
-    return ""
-
-
 def exhaustive_extremal_check(n: int, jobs: int = 1) -> ExtremalReport:
     """Sweep all trees of order n, up to ``SWEEP_LIMIT``, and compare record
     and record holders against the closed form and the generated family."""
@@ -284,7 +265,7 @@ def exhaustive_extremal_check(n: int, jobs: int = 1) -> ExtremalReport:
     if n > SWEEP_LIMIT:
         raise GuardExceeded(f"sweep limited to n <= {SWEEP_LIMIT}, got {n}")
     formula = max_mds_formula(n)
-    predicted = tuple(canonical_code(t) for t in generate_extremal_family(n))
+    predicted = tuple(generate_extremal_family(n))
     table, recipes = _rooted_table(n)
     best, holders, scanned = -1, [], 0
     for trees, record, found in map_free_trees(_sweep_blocks(n, table), _block_record, jobs):
@@ -311,5 +292,5 @@ def exhaustive_extremal_check(n: int, jobs: int = 1) -> ExtremalReport:
         match=match,
         characterized=characterized,
         trees_scanned=scanned,
-        note=_family_note(n),
+        note=_NOTES.get(n, ""),
     )

@@ -260,15 +260,7 @@ def parse_edge_list(text: str) -> Forest:
     self-loops, duplicate edges, and cycles; the last three are found by
     ``Forest.from_edges``.
     """
-    index: dict[str, int] = {}
-    order: list[str] = []
-
-    def vid(token: str) -> int:
-        if token not in index:
-            index[token] = len(order)
-            order.append(token)
-        return index[token]
-
+    index: dict[str, int] = {}  # each label's vertex, in order of first appearance
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -279,14 +271,15 @@ def parse_edge_list(text: str) -> Forest:
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: vertex declaration needs one label: {raw!r}")
-            vid(tokens[1])
+            index.setdefault(tokens[1], len(index))
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two labels: {raw!r}")
-        edges.append((vid(tokens[0]), vid(tokens[1])))
+        a, b = tokens
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
         edge_lines.append(lineno)
     try:
-        return Forest.from_edges(len(order), edges, labels=tuple(order))
+        return Forest.from_edges(len(index), edges, labels=tuple(index))
     except _EdgeError as exc:
         raise ParseError(f"line {edge_lines[exc.position]}: {exc}") from exc
 

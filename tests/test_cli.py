@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 from dissoc import cli, dissociation, extremal, structure, treegen
 from dissoc.cli import main
 from dissoc.errors import TheoremViolation
-from dissoc.forest import canonical_code, parse_edge_list
+from dissoc.extremal import generate_extremal_family
+from dissoc.forest import canonical_code, parse_edge_list, serialize_edge_list
 from dissoc.structure import critical_structure
 
 from util import CHECK_NAMES, deadline, replaced
@@ -121,6 +125,33 @@ def test_gen_trees_blocks_parse_back(capsys):
     assert len(blocks) == 3
     codes = {canonical_code(parse_edge_list(b)) for b in blocks}
     assert len(codes) == 3
+
+
+@pytest.mark.parametrize("command", ["gen-trees", "enumerate"])
+def test_a_reader_that_closes_the_pipe_early_gets_the_pipe_code(capsys, tmp_path, command):
+    # 3,159 trees of order 14, and the 19,694 maximum sets of S*(P3, P4^9), the family tree
+    # of order 30: each output outgrows a pipe's buffer, so the command is still writing
+    # when the reader closes the pipe after the first line
+    argv = ["gen-trees", "--n", "14"]
+    if command == "enumerate":
+        (spider,) = generate_extremal_family(30).values()
+        path = tmp_path / "spider30.txt"
+        path.write_text(serialize_edge_list(spider))
+        argv = ["enumerate", str(path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out) > 1 << 17
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "dissoc.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.decode() == out.split("\n", 1)[0] + "\n"
 
 
 def test_extremal_sweep_n7(capsys, tmp_path):

@@ -62,31 +62,36 @@ def test_lt8_tree():
     assert t.n == 8
     assert sorted(len(t.adjacency[v]) for v in range(8)) == [1, 1, 1, 1, 2, 2, 3, 3]
     assert alpha3_count_dp(t).count == 3
-    assert canonical_code(t) in {canonical_code(x) for x in generate_extremal_family(8)}
+    assert canonical_code(t) in {canonical_code(x) for x in generate_extremal_family(8).values()}
 
 
 def test_family_sizes():
-    sizes = {3: 1, 4: 1, 5: 3, 6: 1, 7: 2, 8: 7, 9: 1, 10: 3, 11: 9}
+    sizes = {3: 1, 4: 1, 5: 3, 6: 1, 7: 2, 8: 7, 9: 1, 10: 3, 11: 9, 30: 1, 60: 1, 100: 33}
     for n, want in sizes.items():
         fam = generate_extremal_family(n)
         assert len(fam) == want, n
-        codes = {canonical_code(t) for t in fam}
+        codes = {canonical_code(t) for t in fam.values()}
         assert len(codes) == want  # pairwise non-isomorphic
     with pytest.raises(ValueError):
         generate_extremal_family(2)
 
 
 def test_family_members_attain_the_formula():
-    for n in range(3, 15):
+    # past SWEEP_LIMIT no sweep checks the family, so this is its only check there
+    assert extremal.SWEEP_LIMIT < 100
+    for n in range(3, 101):
         want = max_mds_formula(n)
-        for t in generate_extremal_family(n):
-            assert t.n == n
+        family = generate_extremal_family(n)
+        assert list(family) == sorted(family), n  # in code order
+        for code, t in family.items():
+            assert code == canonical_code(t), n
+            assert t.n == n and t.is_tree, n
             assert alpha3_count_dp(t).count == want, n
 
 
 def test_family_structure_for_multiples_of_three():
     for n in (3, 6, 9, 12):
-        (t,) = generate_extremal_family(n)
+        (t,) = generate_extremal_family(n).values()
         s = critical_structure(t)
         assert len(s.critical_triples) == n // 3
         assert s.insulated_edges == ()
@@ -136,8 +141,9 @@ def test_sweep_agrees_across_job_counts():
 
 def test_sweep_builds_each_tree_once(monkeypatch):
     # the sweep counts every tree once without building it, validates no tree,
-    # and decodes and codes only the trees whose count reaches the formula; each
-    # multiset of record classes is folded once and stands for its number of trees
+    # and decodes and codes only the trees whose count reaches the formula and the
+    # predicted family, each tree coded once; each multiset of record classes is
+    # folded once and stands for its number of trees
     build = Forest.from_edges.__func__
     decode = treegen.forest_from_level_sequence
     code = extremal.canonical_code
@@ -145,7 +151,7 @@ def test_sweep_builds_each_tree_once(monkeypatch):
     validated = 0
     counted: list[tuple[int, tuple[int, ...], int]] = []
     decoded: dict[int, Forest] = {}  # holding each tree keeps its id unique
-    coded_decoded = 0
+    coded: list[Forest] = []
 
     def counting_build(cls, *args, **kwargs):
         nonlocal validated
@@ -158,8 +164,7 @@ def test_sweep_builds_each_tree_once(monkeypatch):
         return tree
 
     def counting_code(tree):
-        nonlocal coded_decoded
-        coded_decoded += id(tree) in decoded
+        coded.append(tree)
         return code(tree)
 
     def counting_block_record(block, classes=None):
@@ -173,8 +178,6 @@ def test_sweep_builds_each_tree_once(monkeypatch):
     formula = max_mds_formula(12)
     holders = sum(alpha3_count_dp(t).count >= formula for t in treegen.free_trees(12))
     monkeypatch.setattr(Forest, "from_edges", classmethod(counting_build))
-    generate_extremal_family(12)
-    family_builds, validated = validated, 0
     for module in (treegen, extremal):
         monkeypatch.setattr(module, "forest_from_level_sequence", counting_decode)
     monkeypatch.setattr(extremal, "canonical_code", counting_code)
@@ -183,8 +186,13 @@ def test_sweep_builds_each_tree_once(monkeypatch):
     assert report.trees_scanned == sum(ways for _, _, ways in counted) == 551
     # the 37 rooted trees of order 1..6 fall into 33 classes, so fewer multisets than trees
     assert len(counted) == len({(base, path) for base, path, _ in counted}) < 551
-    assert validated == family_builds
-    assert len(decoded) == coded_decoded == holders == len(report.extremal_codes) == 1
+    assert validated == 0
+    assert holders == len(report.extremal_codes) == len(report.predicted_codes) == 1
+    # the decoded trees are the holder and the family tree, and each is coded once
+    assert len(decoded) == holders + len(report.predicted_codes)
+    assert len(coded) == len({id(t) for t in coded}) == len(decoded)
+    assert {id(t) for t in coded} == set(decoded)
+    assert {code(t) for t in coded} == set(report.extremal_codes) | set(report.predicted_codes)
     monkeypatch.undo()
     table, recipes = extremal._rooted_table(12)
     trees = extremal._expand(recipes, range(len(table[0])))
@@ -363,7 +371,8 @@ def test_sweep_at_orders_past_verify_guard(n, trees, record, holders):
     assert report.trees_scanned == trees == treegen.free_tree_count(n)  # two independent counts
     assert report.observed_max == record == max_mds_formula(n)
     assert len(report.extremal_codes) == holders
-    assert set(report.extremal_codes) == {canonical_code(t) for t in generate_extremal_family(n)}
+    family = generate_extremal_family(n).values()
+    assert set(report.extremal_codes) == {canonical_code(t) for t in family}
     assert report.match is True
 
 
