@@ -21,7 +21,7 @@ from .errors import GuardExceeded, ParseError, TheoremViolation
 from .extremal import exhaustive_extremal_check, generate_extremal_family, max_mds_formula
 from .forest import Forest, normalize_indices, parse_edge_list, serialize_edge_list
 from .kpath import alpha_k_guard
-from .structure import critical_structure, kpath_checks, verify_structure_theorems
+from .structure import _PASS, critical_structure, kpath_checks, verify_structure_theorems
 from .treegen import free_tree_count, free_trees, map_free_trees
 
 EXIT_OK = 0
@@ -129,9 +129,13 @@ def _check_tree(tree: Forest, k_list: tuple[int, ...]) -> tuple[int, tuple[str, 
     """Per-tree verification work unit: one registry call over the structure
     and the k-list; returns (mds count, failure notes, skipped checks)."""
     struct = critical_structure(tree)
-    checks = verify_structure_theorems(tree, struct, k_list).items()
-    failures = tuple(f"{name}: {cr.witness}" for name, cr in checks if cr.status == "fail")
-    return struct.count, failures, sum(cr.status == "skipped" for _, cr in checks)
+    failures, skipped = [], 0
+    for name, cr in verify_structure_theorems(tree, struct, k_list).items():
+        if cr is not _PASS:  # most outcomes are the one shared pass record
+            if cr.status == "fail":
+                failures.append(f"{name}: {cr.witness}")
+            skipped += cr.status == "skipped"
+    return struct.count, tuple(failures), skipped
 
 
 def _cmd_verify(args) -> int:

@@ -13,6 +13,11 @@ through u into the matching, and deletes u's subtree. Ties on depth
 break to the smallest vertex index and the extracted path is the
 lexicographically smallest candidate, so runs are reproducible.
 
+``alpha_k_brute`` is the exhaustive oracle for alpha_k = n - tau_k, a bounded search
+tree (Niedermeier and Rossmanith, 2003): a set meeting every k-path holds one of the k
+vertices of the first k-path the removed set misses, so it branches on those, about
+k ** tau_k nodes per budget, from a greedy packing of pairwise-disjoint k-paths up.
+
 ``mu3_edge_deletions`` gives mu3 after deleting each edge from one
 rerooting pass of a maximum 3-path packing DP, in O(n) (the tree case of
 the k-path cover algorithm of Bresar, Kardos, Katrenic and Semanisin,
@@ -20,8 +25,6 @@ the k-path cover algorithm of Bresar, Kardos, Katrenic and Semanisin,
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import GuardExceeded, TheoremViolation
 from .forest import PARENT_NONE, Forest, VertexSet, _Frozen
@@ -76,25 +79,43 @@ def _k_path_masks(forest: Forest, k: int) -> list[int]:
     return [m for u, v, _, m in walks if v > u]
 
 
+def _meets_all(paths: list[int], start: int, cut: int, budget: int) -> bool:
+    """Whether ``cut`` and at most ``budget`` more vertices meet every mask of ``paths``,
+    those before ``start`` being met already: branch on each vertex of the first missed one."""
+    for i in range(start, len(paths)):
+        missed = paths[i]
+        if not missed & cut:
+            break
+    else:
+        return True
+    if not budget:
+        return False
+    while missed:
+        low = missed & -missed
+        if _meets_all(paths, i + 1, cut | low, budget - 1):
+            return True
+        missed ^= low
+    return False
+
+
 def alpha_k_brute(forest: Forest, k: int) -> int:
     """Exact alpha_k, up to ``ALPHA_BRUTE_LIMIT``: n - r for the fewest r removed vertices
-    that meet every k-path mask, found by trying removed sets in ascending size. It stays
-    exhaustive to be the oracle for any faster alpha_k, and reads no certificate or DP, so
-    ``kke`` compares it with the greedy as two independent computations."""
+    that meet every k-path mask, r rising from the count of pairwise-disjoint masks taken
+    greedily, each needing its own vertex, until ``_meets_all`` succeeds in about k ** r
+    nodes. It stays exhaustive to be the oracle for any faster alpha_k, and reads no
+    certificate or DP, so ``kke`` compares it with the greedy as two independent computations."""
     if k < 2:
         raise ValueError("k must be at least 2")
     n = forest.n
     alpha_k_guard(n)
     paths = _k_path_masks(forest, k)
-    for r in range(n + 1):
-        for removed in combinations([1 << v for v in range(n)], r):
-            cut = sum(removed)
-            for p in paths:
-                if not p & cut:
-                    break
-            else:
-                return n - r
-    raise AssertionError("unreachable: removing every vertex meets every path")
+    r, packed = 0, 0
+    for p in paths:
+        if not p & packed:
+            r, packed = r + 1, packed | p
+    while not _meets_all(paths, 0, 0, r):
+        r += 1
+    return n - r
 
 
 def _root_alive(forest: Forest, root: int, alive: set[int]):

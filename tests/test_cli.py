@@ -302,6 +302,18 @@ def test_analyze_refuses_alpha_k_past_its_guard_before_any_work(capsys, monkeypa
     assert json.loads(out)["kke"]["3"] == {"alpha_k": 18, "mu_k": 9, "holds": True}
 
 
+def test_analyze_alpha_k_on_a_path_at_the_guard(capsys, tmp_path):
+    # alpha_k(P_n) = n - floor(n / k); a scan of removed sets took about 12 s here
+    p26 = tmp_path / "p26.txt"
+    p26.write_text("".join(f"{i} {i + 1}\n" for i in range(25)))
+    with deadline(5):
+        code, out, _ = run(capsys, "analyze", str(p26), "--k", "2,3,4,5")
+    assert code == 0
+    kke = json.loads(out)["kke"]
+    assert {k: e["alpha_k"] for k, e in kke.items()} == {"2": 13, "3": 18, "4": 20, "5": 21}
+    assert all(e["holds"] for e in kke.values())
+
+
 def no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 

@@ -87,18 +87,43 @@ def _assert_masked_search_matches_oracles(forest):
 
 
 def test_path_masks_and_alpha_k_match_the_oracles_on_every_small_tree():
+    # about 2.5-3.7 s on a 2-core Xeon, most of it in the two oracles at n = 10 and 11
     checked = 0
-    for n in range(1, 10):
+    for n in range(1, 12):
         for t in free_trees(n):
             _assert_masked_search_matches_oracles(t)
             checked += 1
-    assert checked == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47
+    assert checked == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235
 
 
 def test_path_masks_and_alpha_k_match_the_oracles_on_forests_with_isolated_vertices():
     rng = random.Random(29)
     for _ in range(200):
         _assert_masked_search_matches_oracles(random_forest_with_isolated_vertices(rng, 9))
+
+
+def _spider(legs: list[int]) -> Forest:
+    """Legs of the given numbers of vertices, each joined at one end to the centre 0."""
+    edges: list[tuple[int, int]] = []
+    for length in legs:
+        start = len(edges) + 1
+        edges += [(start + i - 1 if i else 0, start + i) for i in range(length)]
+    return Forest.from_edges(len(edges) + 1, edges)
+
+
+def test_alpha_k_does_bounded_work_at_its_guard():
+    # the order guard does not bound a subset scan's work: it took about 12 s on P26 alone
+    rng = random.Random(26)
+    caterpillar = Forest.from_edges(26, [(i, i + 1) for i in range(12)] + [(i, 13 + i) for i in range(13)])
+    spiders = [_spider([leg] * (25 // leg) + ([25 % leg] if 25 % leg else [])) for leg in range(1, 13)]
+    trees = [path(26), caterpillar, *spiders] + [random_labeled_tree(26, rng) for _ in range(20)]
+    ks = range(2, 8)
+    for tree in trees:
+        assert tree.n == 26 and len(tree.edges) == 25, tree.edges
+        with deadline(3):
+            alphas = [alpha_k_brute(tree, k) for k in ks]
+        assert alphas == [26 - len(greedy_cover_matching(tree, k).paths) for k in ks], tree.edges
+    assert [alpha_k_brute(path(26), k) for k in ks] == [26 - 26 // k for k in ks]
 
 
 def test_mu_tau_examples():
